@@ -15,6 +15,7 @@ Canonical irreducibles, so exponent vectors compare across elements:
           q = 2 (mod 3) are taken positive (already primary)
 """
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -91,7 +92,9 @@ Q = FieldDesc("Q")
 QRHO = FieldDesc("QRho")
 
 
+@functools.cache
 def fpt(p: int) -> FieldDesc:
+    """The descriptor of F_p(t), built and validated once per prime."""
     return FieldDesc("FpT", p)
 
 
@@ -622,23 +625,9 @@ def torsion_generator(field: FieldDesc):
         return QRhoElem(0, 1), 6
     p = field.p
     for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in _prime_divisors(p - 1)):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in factor_integer(p - 1)[1]):
             return FpTElem(p, (g,)), p - 1
     return FpTElem(p, (1,)), 1  # p = 2: trivial torsion
-
-
-def _prime_divisors(m):
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 def torsion_unit_exponent(u) -> int:

@@ -186,18 +186,6 @@ def _equal_degree(f, d, p, rng):
             return _equal_degree(g, d, p, rng) + _equal_degree(rest, d, p, rng)
 
 
-def is_irreducible(f, p):
-    f = norm(f, p)
-    if deg(f) < 1:
-        return False
-    f = monic(f, p)
-    sqf = _squarefree(f, p)
-    if list(sqf.keys()) != [1] or sqf[1] != f:
-        return False
-    ddf = _distinct_degree(f, p)
-    return len(ddf) == 1 and deg(ddf[0][1]) == ddf[0][0]
-
-
 def factor(f, p):
     """Full factorization: returns (leading coefficient, {monic irreducible:
     multiplicity}).  Deterministic for a fixed input."""

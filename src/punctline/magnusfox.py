@@ -19,7 +19,7 @@ whether the (1,2)-block comparison certifies that.
 import math
 from dataclasses import dataclass, field
 
-from .exactalg import IntMatrix, kernel_mod_m, solve_mod_m
+from .exactalg import IntMatrix, factor_integer, kernel_mod_m, solve_mod_m
 from .freegroup import Word, abelianize
 from .groupring import AbelianShape, GroupRingElem, project
 
@@ -243,10 +243,6 @@ def _ring_basis(r, N):
     return shape, basis, index
 
 
-def _vec_of_elem(elem, basis):
-    return [elem.coeffs.get(g, 0) for g in basis]
-
-
 def _mult_rows(a, shape, basis, index):
     # rows of multiplication-by-a on the group basis
     rows = [[0] * len(basis) for _ in basis]
@@ -397,7 +393,7 @@ class AbelianQuotient:
 def _order_is(u, m, modulus):
     if math.gcd(u, modulus) != 1 or pow(u, m, modulus) != 1:
         return False
-    return all(pow(u, m // p, modulus) != 1 for p in _prime_divisors(m))
+    return all(pow(u, m // p, modulus) != 1 for p in factor_integer(m)[1])
 
 
 def _unit_of_order(m, modulus, low_modulus):
@@ -410,20 +406,6 @@ def _unit_of_order(m, modulus, low_modulus):
         if _order_is(u, m, modulus) and _order_is(u % low_modulus, m, low_modulus):
             return u
     return None
-
-
-def _prime_divisors(m):
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 class _Blocks:

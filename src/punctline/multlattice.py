@@ -110,9 +110,10 @@ def solve_p_power(a, b, p: int):
     _check_pair(a, b)
     if not is_prime(p):
         raise ValueError("p must be prime")
-    if torsion_order(a) is not None:
-        return "all" if cyclic_equal(a, b) else None
     ev_a = factorize(a)
+    if not ev_a.factors:
+        # no irreducible factors: a is a torsion unit
+        return "all" if cyclic_equal(a, b) else None
     ev_b = factorize(b)
     if set(ev_a.factors) != set(ev_b.factors):
         return None

@@ -5,9 +5,9 @@ same field and a bijection phi between them.  The task: decide whether
 some Mobius map f and Frobenius twists (w1, w2) satisfy
 f(E1^(p^w1)) = E2^(p^w2) along phi, and if so recover them.  Over Q and
 Q(rho) the twists are forced to zero and the per-cusp cross-ratio test
-can hit the golden-ratio ambiguity; over F_p(t) the twist exponent is
-recovered per cusp and cross-checked pairwise through the exponent-case
-decision.
+can hit the golden-ratio ambiguity; over F_p(t) each extra cusp yields
+its exact Frobenius-twist exponent, and the pairing is realizable
+exactly when all of these exponents agree.
 
 Conventions.  E2.points[phi[i]] is the partner of E1.points[i]; the
 first three points of E1 (in input order) are the base triple and are
@@ -16,13 +16,11 @@ further cusp is the cross ratio against the base triple.  Recovered
 twists are normalized to min(w1, w2) = 0.
 """
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .crossratio import (
-    CASE_A,
     HYPOTHESIS_FAILS,
     RHO_PAIR,
     CuspSet,
@@ -31,7 +29,6 @@ from .crossratio import (
     cross_ratio,
     decide_lambda_char0,
     decide_lambda_charp,
-    exponent_case_decide,
     mobius_from_triples,
     star_check,
     twist_set,
@@ -242,33 +239,15 @@ def reconstruct_char0(s: Scenario) -> ReconstructionResult:
     return ReconstructionResult(0, 0, f, ambiguity)
 
 
-def _pair_exponent(s, base_pair, i, j):
-    # twist exponent of the cross ratio against a base PAIR plus the
-    # two extra cusps; this is the four-point step applied to that
-    # quadruple, so existence and uniqueness carry over
-    a, b = base_pair
-    cr1 = cross_ratio(
-        s.e1.points[a], s.e1.points[b], s.e1.points[i], s.e1.points[j]
-    )
-    cr2 = cross_ratio(s.partner(a), s.partner(b), s.partner(i), s.partner(j))
-    e = decide_lambda_charp(cr1, cr2)
-    if e is None:
-        raise ReconstructionError(
-            "cusps %d and %d admit no pair twist exponent" % (i, j)
-        )
-    return e
-
-
 def reconstruct_charp(s: Scenario) -> ReconstructionResult:
     """Recover (w1, w2, f) over F_p(t).
 
-    Size 3 is the forced triple map with no twist.  With extra cusps,
-    each one yields its exponent n_i through the four-point decision;
-    for five or more cusps every pair (i, j) is cross-checked: the pair
-    exponents sigma, tau, zeta against the base pairs {0,inf}, {1,inf},
-    {0,1} feed the exponent-case decision, and only the columnwise case
-    with n_i = n_j survives.  Twists are (n, 0) for n >= 0, else
-    (0, -n), and f is forced by the twisted base triples.
+    Each extra cusp i yields, through the four-point decision, the
+    unique n_i with lam2_i = lam1_i^(p^n_i).  Equal exponents n_i = n
+    make the two normalizing maps agree after twisting, so the pairing
+    is realizable; the first cusp whose exponent differs from n_3 is
+    rejected.  Twists are (n, 0) for n >= 0, else (0, -n) (no twist for
+    size 3), and f is forced by the twisted base triples.
     """
     if s.field.char() == 0:
         raise ValueError("positive-characteristic scenarios only")
@@ -279,47 +258,27 @@ def reconstruct_charp(s: Scenario) -> ReconstructionResult:
         raise ValueError(
             "E1 must satisfy the non-constant cross-ratio condition"
         )
-    size = s.size()
     b1, b2 = _base_triples(s)
-    if size == 3:
-        f = mobius_from_triples(b1[0], b1[1], b1[2], b2[0], b2[1], b2[2])
-        return ReconstructionResult(0, 0, f)
-    lam1s = {}
-    n_at = {}
-    for i in range(3, size):
+    n = 0
+    for i in range(3, s.size()):
         lam1 = cross_ratio(b1[0], b1[1], b1[2], s.e1.points[i])
         lam2 = cross_ratio(b2[0], b2[1], b2[2], s.partner(i))
-        n = decide_lambda_charp(lam1, lam2)
-        if n is None:
+        n_i = decide_lambda_charp(lam1, lam2)
+        if n_i is None:
             raise ReconstructionError(
                 "cusp %d admits no Frobenius-twist exponent" % i
             )
-        lam1s[i] = lam1
-        n_at[i] = n
-    for i, j in itertools.combinations(range(3, size), 2):
-        sigma = _pair_exponent(s, (0, 1), i, j)
-        tau = _pair_exponent(s, (2, 1), i, j)
-        zeta = _pair_exponent(s, (0, 2), i, j)
-        ni, nj = n_at[i], n_at[j]
-        verdict = exponent_case_decide(
-            lam1s[i], lam1s[j],
-            ni - sigma, nj - sigma,
-            ni - tau, nj - tau,
-            ni - zeta, nj - zeta,
-        )
-        if verdict != CASE_A:
+        if i == 3:
+            n = n_i
+        elif n_i != n:
             raise ReconstructionError(
-                "cusps %d and %d force incompatible twist exponents" % (i, j)
+                "cusps 3 and %d force twist exponents %d and %d"
+                % (i, n, n_i)
             )
-    n = n_at[3]
     w1, w2 = (n, 0) if n >= 0 else (0, -n)
-    e1t = twist_set(s.e1, w1)
-    e2t = twist_set(s.e2, w2)
-    f = mobius_from_triples(
-        e1t.points[0], e1t.points[1], e1t.points[2],
-        e2t.points[s.phi[0]], e2t.points[s.phi[1]], e2t.points[s.phi[2]],
-    )
-    return ReconstructionResult(w1, w2, f)
+    t1 = twist_set(CuspSet(s.field, b1), w1).points
+    t2 = twist_set(CuspSet(s.field, b2), w2).points
+    return ReconstructionResult(w1, w2, mobius_from_triples(*t1, *t2))
 
 
 def reconstruct(s: Scenario) -> ReconstructionResult:

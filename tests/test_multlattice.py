@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from punctline import fieldarith, multlattice
 from punctline.fieldarith import (
     Q,
     QRHO,
@@ -61,6 +62,21 @@ def test_solve_p_power_examples():
     assert solve_p_power(q(2), q(8), 3) == 1
     with pytest.raises(ValueError):
         solve_p_power(t, t, 4)
+
+
+def test_solve_p_power_factorizes_each_argument_once(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return factorize(a)
+
+    # torsion_order reaches factorize through fieldarith, so count both
+    monkeypatch.setattr(fieldarith, "factorize", counting)
+    monkeypatch.setattr(multlattice, "factorize", counting)
+    t = F5T.t()
+    assert solve_p_power(t + F5T.one(), (t + F5T.one()) ** 25, 5) == 2
+    assert len(calls) == 2
 
 
 def test_subgroup_power_inclusion_examples():

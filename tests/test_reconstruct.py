@@ -127,10 +127,16 @@ def test_charp_frozen_twists():
 
 
 def test_charp_rejects_unrelated_sets():
-    s = scene(F2T, ("0", "inf", "1", "t"), ("0", "inf", "1", "t+1"),
-              (0, 1, 2, 3))
-    with pytest.raises(ReconstructionError):
-        reconstruct_charp(s)
+    cases = [
+        (("0", "inf", "1", "t"), ("0", "inf", "1", "t+1")),
+        # cusp 3 forces twist 1 and cusp 4 twist 0
+        (("0", "inf", "1", "t", "t+1"), ("0", "inf", "1", "t^2", "t+1")),
+    ]
+    for e1, e2 in cases:
+        s = scene(F2T, e1, e2, tuple(range(len(e1))))
+        with pytest.raises(ReconstructionError):
+            reconstruct_charp(s)
+        assert not forced_map_realizable(s)
 
 
 def test_charp_size3_forced_map():
