@@ -416,6 +416,18 @@ _SWEEPS = {
 SWEEP_NAMES = tuple(_SWEEPS) + ("all",)
 
 
+def _run_all(seed):
+    """Run every sweep; return the per-sweep results and their total, which
+    counts each failing sweep as one violation and quotes the first."""
+    results = [run_sweep(name, seed=seed) for name in _SWEEPS]
+    bad = [r for r in results if not r.ok()]
+    counterexample = (
+        "%s: %s" % (bad[0].name, bad[0].counterexample) if bad else None
+    )
+    total = SweepResult("all", sum(r.cases for r in results), len(bad), counterexample)
+    return results, total
+
+
 def run_sweep(name: str, seed: int = DEFAULT_SEED, **params) -> SweepResult:
     """Run one named property sweep (or 'all') and report its outcome.
 
@@ -425,15 +437,7 @@ def run_sweep(name: str, seed: int = DEFAULT_SEED, **params) -> SweepResult:
     if name == "all":
         if params:
             raise ValueError("'all' does not accept sweep parameters")
-        cases = 0
-        for sub in _SWEEPS:
-            res = run_sweep(sub, seed=seed)
-            cases += res.cases
-            if not res.ok():
-                return SweepResult(
-                    "all", cases, 1, "%s: %s" % (sub, res.counterexample)
-                )
-        return SweepResult("all", cases, 0)
+        return _run_all(seed)[1]
     if name not in _SWEEPS:
         raise ValueError(
             "unknown property %r; choose from %s"
@@ -545,19 +549,13 @@ def _cmd_verify(args) -> int:
         if val is not None:
             params[key] = val
     if args.property == "all" and not params:
-        results = [run_sweep(name, seed=args.seed) for name in _SWEEPS]
-        cases = sum(r.cases for r in results)
-        bad = [r for r in results if not r.ok()]
-        counterexample = (
-            "%s: %s" % (bad[0].name, bad[0].counterexample) if bad else None
-        )
-        total = SweepResult("all", cases, len(bad), counterexample)
+        results, total = _run_all(args.seed)
         if args.json:
             payload = {
                 "property": "all",
-                "cases": cases,
-                "violations": len(bad),
-                "counterexample": counterexample,
+                "cases": total.cases,
+                "violations": total.violations,
+                "counterexample": total.counterexample,
                 "sweeps": [
                     {
                         "property": r.name,

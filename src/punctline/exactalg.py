@@ -47,9 +47,6 @@ class IntMatrix:
     def __repr__(self):
         return "IntMatrix(%r)" % (list(map(list, self.entries)),)
 
-    def transpose(self):
-        return IntMatrix(list(zip(*self.entries)))
-
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")

@@ -47,14 +47,8 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def max_generator(self) -> int:
         return max((g for g, _ in self.letters), default=0)
-
-    def length(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
 
 
 def reduce(raw) -> Word:

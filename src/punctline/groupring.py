@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .exactalg import IntMatrix, kernel_mod_m
+from .exactalg import IntMatrix, is_prime, kernel_mod_m
 
 
 @dataclass(frozen=True)
@@ -122,26 +122,31 @@ def augment(a: GroupRingElem) -> int:
     return sum(a.coeffs.values()) % a.M
 
 
+def mult_rows(a: GroupRingElem):
+    """Matrix of multiplication by a on the group basis, as a list of
+    rows; rows and columns follow a.shape.elements() order."""
+    shape = a.shape
+    basis = list(shape.elements())
+    index = {g: i for i, g in enumerate(basis)}
+    rows = [[0] * len(basis) for _ in basis]
+    for col, g in enumerate(basis):
+        for k, c in a.coeffs.items():
+            h = shape.reduce(tuple(x + y for x, y in zip(k, g)))
+            rows[index[h]][col] += c
+    return rows
+
+
 def annihilator_basis(shape: AbelianShape, M: int, a: GroupRingElem):
     """Z/M-module generators of {y : a*y = 0}, via the kernel of the
     multiplication-by-a matrix over the group basis."""
     if a.shape != shape or a.M != M:
         raise ValueError("element does not live in the requested ring")
     basis = list(shape.elements())
-    index = {g: i for i, g in enumerate(basis)}
-    rows = [[0] * len(basis) for _ in basis]
-    for g in basis:
-        col = index[g]
-        for k, c in a.coeffs.items():
-            h = shape.reduce(tuple(x + y for x, y in zip(k, g)))
-            rows[index[h]][col] += c
-    gens = kernel_mod_m(IntMatrix(rows), M)
-    out = []
-    for vec in gens:
-        elem = GroupRingElem(shape, M, {basis[i]: v for i, v in enumerate(vec)})
-        if not elem.is_zero():
-            out.append(elem)
-    return out
+    # kernel_mod_m drops zero vectors, so every generator is nonzero
+    return [
+        GroupRingElem(shape, M, dict(zip(basis, vec)))
+        for vec in kernel_mod_m(IntMatrix(mult_rows(a)), M)
+    ]
 
 
 def project(a: GroupRingElem, new_moduli) -> GroupRingElem:
@@ -186,6 +191,8 @@ def limit_regularity_check(n: int, M: int, m_prime: int, k: int, excluded_prime=
     """
     if n < 1 or M < 2 or m_prime < 1 or k < 1:
         raise ValueError("truncation parameters must be positive (M >= 2)")
+    if excluded_prime is not None and not is_prime(excluded_prime):
+        raise ValueError("excluded_prime must be a prime, got %r" % (excluded_prime,))
     if m_prime % _admissible_part(n, excluded_prime) != 0:
         raise ValueError(
             "admissible part of n=%d does not divide m'=%d" % (n, m_prime)

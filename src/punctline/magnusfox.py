@@ -10,18 +10,19 @@ The centralizer material comes in two flavors.  Over truncated rings it
 is linear algebra on the relation module R = ker(f) with f the
 sum-of-components map; the limit claims are phrased as transition
 compatibility between truncation levels, as in the group-ring module.
-Over a finite abelian quotient it is a 2x2 block unipotent trick: a
-commutation in the block group forces the quotient image of y into the
-cyclic group generated by the image of x, and the witness reports
-whether the (1,2)-block comparison certifies that.
+Over a finite abelian quotient G it is a 2x2 block unipotent trick
+with blocks over the group algebra (Z/ell^K)[G]: a commutation in the
+block group forces the quotient image of y into the cyclic group
+generated by the image of x, and the witness reports whether the
+(1,2)-block comparison certifies that.
 """
 
 import math
 from dataclasses import dataclass, field
 
-from .exactalg import IntMatrix, factor_integer, kernel_mod_m, solve_mod_m
+from .exactalg import IntMatrix, is_prime, kernel_mod_m, solve_mod_m
 from .freegroup import Word, abelianize
-from .groupring import AbelianShape, GroupRingElem, project
+from .groupring import AbelianShape, GroupRingElem, mult_rows, project
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,16 +140,21 @@ def _monomial_of(ab):
     return LaurentElem.monomial(len(ab), ab)
 
 
+def _fox_sum(a, rank):
+    """sum_i a_i * (x_i - 1) in Z[Z^rank]."""
+    one = LaurentElem.one(rank)
+    total = LaurentElem.zero(rank)
+    for i, x in enumerate(a, start=1):
+        total = total + x * (LaurentElem.gen(rank, i) - one)
+    return total
+
+
 def fundamental_identity_check(w: Word, rank=None) -> bool:
     """(monomial of the abelianization) - 1 = sum_i dw/dx_i * (x_i - 1)."""
     if rank is None:
         rank = max(w.max_generator(), 1)
     lhs = _monomial_of(abelianize(w, rank)) - LaurentElem.one(rank)
-    rhs = LaurentElem.zero(rank)
-    for i in range(1, rank + 1):
-        step = LaurentElem.gen(rank, i) - LaurentElem.one(rank)
-        rhs = rhs + fox_derivative(w, i, rank) * step
-    return lhs == rhs
+    return lhs == _fox_sum(derivative_vector(w, rank), rank)
 
 
 def bl_kernel_check(a) -> bool:
@@ -160,10 +166,7 @@ def bl_kernel_check(a) -> bool:
     rank = a[0].rank
     if any(x.rank != rank for x in a):
         raise ValueError("rank mismatch")
-    total = LaurentElem.zero(rank)
-    for i, x in enumerate(a, start=1):
-        total = total + x * (LaurentElem.gen(rank, i) - LaurentElem.one(rank))
-    return total.is_zero()
+    return _fox_sum(a, rank).is_zero()
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,11 +188,7 @@ class MetabelianElem:
         rank = len(ab)
         if len(deriv) != rank or any(d.rank != rank for d in deriv):
             raise ValueError("derivative vector does not match rank")
-        lhs = _monomial_of(ab) - LaurentElem.one(rank)
-        rhs = LaurentElem.zero(rank)
-        for i, d in enumerate(deriv, start=1):
-            rhs = rhs + d * (LaurentElem.gen(rank, i) - LaurentElem.one(rank))
-        if lhs != rhs:
+        if _monomial_of(ab) - LaurentElem.one(rank) != _fox_sum(deriv, rank):
             raise ValueError("fundamental identity fails")
 
     @property
@@ -236,38 +235,26 @@ def truncate_laurent(a: LaurentElem, N: int, M: int) -> GroupRingElem:
     return GroupRingElem(shape, M, dict(a.coeffs))
 
 
-def _ring_basis(r, N):
-    shape = AbelianShape((N,) * r)
-    basis = list(shape.elements())
-    index = {g: i for i, g in enumerate(basis)}
-    return shape, basis, index
-
-
-def _mult_rows(a, shape, basis, index):
-    # rows of multiplication-by-a on the group basis
-    rows = [[0] * len(basis) for _ in basis]
-    for g in basis:
-        col = index[g]
-        for k, c in a.coeffs.items():
-            h = shape.reduce(tuple(x + y for x, y in zip(k, g)))
-            rows[index[h]][col] += c
-    return rows
-
-
-def _f_matrix(r, N, M):
+def _f_matrix(shape, M):
     # f: direct sum of r copies of the ring -> ring, (a_i) -> sum a_i (x_i - 1)
-    shape, basis, index = _ring_basis(r, N)
+    r = len(shape.moduli)
+    one = GroupRingElem.one(shape, M)
+    blocks = [
+        mult_rows(GroupRingElem.monomial(shape, M, tuple(int(j == i) for j in range(r))) - one)
+        for i in range(r)
+    ]
+    return [[x for block in blocks for x in block[row]] for row in range(len(blocks[0]))]
+
+
+def _kernel_vectors(rows, shape, M, r):
+    """kernel_mod_m of rows, each vector cut into r group-ring elements:
+    block i of the columns is coordinate i, in shape.elements() order."""
+    basis = list(shape.elements())
     q = len(basis)
-    rows = [[0] * (r * q) for _ in range(q)]
-    for i in range(r):
-        step = GroupRingElem.monomial(shape, M, tuple(1 if j == i else 0 for j in range(r)))
-        one = GroupRingElem.one(shape, M)
-        a = step - one
-        block = _mult_rows(a, shape, basis, index)
-        for row in range(q):
-            for col in range(q):
-                rows[row][i * q + col] = block[row][col]
-    return shape, basis, rows
+    return [
+        tuple(GroupRingElem(shape, M, dict(zip(basis, vec[i * q:(i + 1) * q]))) for i in range(r))
+        for vec in kernel_mod_m(IntMatrix(rows), M)
+    ]
 
 
 def relation_module_basis(r: int, N: int, M: int):
@@ -275,17 +262,8 @@ def relation_module_basis(r: int, N: int, M: int):
     r-tuples of group-ring elements."""
     if r < 2:
         raise ValueError("need rank at least 2")
-    shape, basis, rows = _f_matrix(r, N, M)
-    q = len(basis)
-    out = []
-    for vec in kernel_mod_m(IntMatrix(rows), M):
-        coords = tuple(
-            GroupRingElem(shape, M, {basis[j]: vec[i * q + j] for j in range(q)})
-            for i in range(r)
-        )
-        if any(not c.is_zero() for c in coords):
-            out.append(coords)
-    return out
+    shape = AbelianShape((N,) * r)
+    return _kernel_vectors(_f_matrix(shape, M), shape, M, r)
 
 
 def metabelian_centralizer_kernel(r: int, n: int, N: int, M: int):
@@ -295,28 +273,14 @@ def metabelian_centralizer_kernel(r: int, n: int, N: int, M: int):
         raise ValueError("need rank at least 2")
     if n == 0:
         raise ValueError("n must be nonzero")
-    shape, basis, f_rows = _f_matrix(r, N, M)
-    index = {g: i for i, g in enumerate(basis)}
-    q = len(basis)
-    mult = GroupRingElem.monomial(shape, M, (n % N,) + (0,) * (r - 1)) - GroupRingElem.one(shape, M)
-    block = _mult_rows(mult, shape, basis, index)
+    shape = AbelianShape((N,) * r)
+    block = mult_rows(GroupRingElem.monomial(shape, M, n) - GroupRingElem.one(shape, M))
+    q = len(block)
     # stack f on top of the r diagonal copies of multiplication by x_1^n - 1
-    rows = [row[:] for row in f_rows]
+    rows = _f_matrix(shape, M)
     for i in range(r):
-        for brow in range(q):
-            row = [0] * (r * q)
-            for bcol in range(q):
-                row[i * q + bcol] = block[brow][bcol]
-            rows.append(row)
-    out = []
-    for vec in kernel_mod_m(IntMatrix(rows), M):
-        coords = tuple(
-            GroupRingElem(shape, M, {basis[j]: vec[i * q + j] for j in range(q)})
-            for i in range(r)
-        )
-        if any(not c.is_zero() for c in coords):
-            out.append(coords)
-    return out
+        rows.extend([0] * (i * q) + brow + [0] * ((r - 1 - i) * q) for brow in block)
+    return _kernel_vectors(rows, shape, M, r)
 
 
 def vector_in_scaled_span(vectors, scale: int, target, M: int) -> bool:
@@ -367,10 +331,10 @@ class AbelianQuotient:
             raise ValueError("moduli must be integers >= 1")
         imgs = []
         for img in self.images:
-            img = tuple(int(x) % n for x, n in zip(img, mods))
+            img = tuple(img)
             if len(img) != len(mods):
                 raise ValueError("image length does not match moduli")
-            imgs.append(img)
+            imgs.append(tuple(int(x) % n for x, n in zip(img, mods)))
         object.__setattr__(self, "moduli", mods)
         object.__setattr__(self, "images", tuple(imgs))
 
@@ -390,79 +354,11 @@ class AbelianQuotient:
         return tuple(v % n for v, n in zip(vec, self.moduli))
 
 
-def _order_is(u, m, modulus):
-    if math.gcd(u, modulus) != 1 or pow(u, m, modulus) != 1:
-        return False
-    return all(pow(u, m // p, modulus) != 1 for p in factor_integer(m)[1])
-
-
-def _unit_of_order(m, modulus, low_modulus):
-    """Smallest unit of multiplicative order exactly m both mod modulus and
-    mod low_modulus, or None.  Exact order at the low precision is what
-    keeps the character faithful after the division step."""
-    if m == 1:
-        return 1
-    for u in range(2, min(modulus, 4000)):
-        if _order_is(u, m, modulus) and _order_is(u % low_modulus, m, low_modulus):
-            return u
-    return None
-
-
-class _Blocks:
-    """2x2 upper-triangular matrices (a, b, c) = [[a, b], [0, c]] over a
-    commutative coefficient ring: either Z/ell^K itself (scalar character)
-    or the group algebra (Z/ell^K)[G] (regular model)."""
-
-    def __init__(self, quotient, modulus, low_modulus):
-        self.modulus = modulus
-        u = None
-        if len(quotient.moduli) == 1:
-            u = _unit_of_order(quotient.moduli[0], modulus, low_modulus)
-        self.unit = u
-        if u is None:
-            self.shape = AbelianShape(quotient.moduli)
-
-    def rho(self, gvec):
-        if self.unit is not None:
-            return pow(self.unit, gvec[0], self.modulus)
-        return GroupRingElem.monomial(self.shape, self.modulus, gvec)
-
-    def one(self):
-        if self.unit is not None:
-            return 1 % self.modulus
-        return GroupRingElem.one(self.shape, self.modulus)
-
-    def zero(self):
-        if self.unit is not None:
-            return 0
-        return GroupRingElem.zero(self.shape, self.modulus)
-
-    def add(self, x, y):
-        if self.unit is not None:
-            return (x + y) % self.modulus
-        return x + y
-
-    def mul(self, x, y):
-        if self.unit is not None:
-            return (x * y) % self.modulus
-        return x * y
-
-    def scale(self, x, c):
-        if self.unit is not None:
-            return (x * c) % self.modulus
-        return x.scale(c)
-
-    def block_mul(self, m1, m2):
-        a1, b1, c1 = m1
-        a2, b2, c2 = m2
-        return (
-            self.mul(a1, a2),
-            self.add(self.mul(a1, b2), self.mul(b1, c2)),
-            self.mul(c1, c2),
-        )
-
-    def block_identity(self):
-        return (self.one(), self.zero(), self.one())
+def _block_mul(m1, m2):
+    # (a, b, c) stands for the upper-triangular [[a, b], [0, c]]
+    a1, b1, c1 = m1
+    a2, b2, c2 = m2
+    return (a1 * a2, a1 * b2 + b1 * c2, c1 * c2)
 
 
 def cyclic_centralizer_witness(
@@ -471,7 +367,8 @@ def cyclic_centralizer_witness(
     """Unipotent-block certificate that the quotient image of y lies in
     the cyclic group generated by the image of x_{x_index}.
 
-    Builds 2x2 blocks over Z/ell^K: generator x_index maps to
+    Builds 2x2 blocks over the group algebra (Z/ell^K)[G] of the quotient
+    G, with rho(g) the group element g: generator x_index maps to
     [[rho(x), rho(x)], [0, rho(x)]], other generators to
     [[rho(x_j), 0], [0, 1]].  Evaluates Y = psi(y) and
     E = psi(x^(alpha*|G|)) and compares the (1,2) components of Y*E and
@@ -480,7 +377,7 @@ def cyclic_centralizer_witness(
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    if k < 1 or ell < 2:
+    if k < 1 or not is_prime(ell):
         raise ValueError("need a prime ell and precision k >= 1")
     if not 1 <= x_index <= quotient.rank():
         raise ValueError("x_index out of range")
@@ -492,24 +389,19 @@ def cyclic_centralizer_witness(
     while m % ell == 0:
         m //= ell
         v += 1
+    shape = AbelianShape(quotient.moduli)
     modulus = ell ** (k + v)
-    blocks = _Blocks(quotient, modulus, ell**k)
+    one = GroupRingElem.one(shape, modulus)
+    zero = GroupRingElem.zero(shape, modulus)
 
-    acc = blocks.block_identity()
+    def rho(g, exp):
+        return GroupRingElem.monomial(shape, modulus, quotient.image_of(Word(((g, exp),))))
+
+    acc = (one, zero, one)
     for g, exp in y.letters:
-        if g > quotient.rank():
-            raise ValueError("word uses generator %d beyond the quotient data" % g)
-        img = quotient.image_of(Word(((g, exp),)))
-        a = blocks.rho(img)
-        if g == x_index:
-            run = (a, blocks.scale(a, exp), a)
-        else:
-            run = (a, blocks.zero(), blocks.one())
-        acc = blocks.block_mul(acc, run)
+        a = rho(g, exp)
+        acc = _block_mul(acc, (a, a.scale(exp), a) if g == x_index else (a, zero, one))
 
-    x_img = quotient.image_of(Word(((x_index, e),)))
-    ex = blocks.rho(x_img)  # identity: |G| kills the image
-    big = (ex, blocks.scale(ex, e), ex)
-    left = blocks.block_mul(acc, big)
-    right = blocks.block_mul(big, acc)
-    return left[1] == right[1]
+    ex = rho(x_index, e)  # identity: |G| kills the image
+    big = (ex, ex.scale(e), ex)
+    return _block_mul(acc, big)[1] == _block_mul(big, acc)[1]

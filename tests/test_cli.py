@@ -130,6 +130,21 @@ def test_all_aggregates_and_reports_first_counterexample(capsys):
         assert "alpha: 3 cases, 0 violations" in lines
         assert "beta: 2 cases, 1 violation" in lines
         assert lines[-1] == "all: 5 cases, 1 violation"
+        # every sweep runs, also after a failing one
+        registry = fake_registry()
+        cli._SWEEPS = {
+            "beta": registry["beta"],
+            "alpha": registry["alpha"],
+            "gamma": (lambda rng: (4, "gamma broke"), ()),
+        }
+        res = run_sweep("all")
+        assert (res.cases, res.violations) == (9, 2)
+        assert res.counterexample == "beta: broken pair"
+        code, out, _ = run(capsys, "verify", "all", "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert (payload["cases"], payload["violations"]) == (9, 2)
+        assert payload["counterexample"] == "beta: broken pair"
     finally:
         cli._SWEEPS = saved
 

@@ -170,6 +170,9 @@ def test_limit_regularity_excluded_prime():
         limit_regularity_check(6, 9, 3, 3)
     with pytest.raises(ValueError):
         limit_regularity_check(6, 9, 3, 3, excluded_prime=5)
+    for bad in (0, 1, 4):
+        with pytest.raises(ValueError):
+            limit_regularity_check(6, 9, 3, 3, excluded_prime=bad)
 
 
 def test_gamma_splitting():

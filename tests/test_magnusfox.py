@@ -185,6 +185,16 @@ def test_witness_frozen():
     assert cyclic_centralizer_witness(trivial, 1, parse_word("y"), 1, 2, 3) is True
     z33 = AbelianQuotient((3, 3), ((1, 0), (0, 1)))
     assert cyclic_centralizer_witness(z33, 1, parse_word("y"), 1, 3, 2) is False
+    # cyclic quotients whose order divides ell - 1
+    for moduli, images, ell, word, expected in (
+        ((3,), ((1,), (1,)), 7, "y", False),
+        ((3,), ((1,), (2,)), 7, "xx", True),
+        ((4,), ((1,), (1,)), 5, "y", False),
+        ((4,), ((1,), (2,)), 5, "xx", True),
+        ((2,), ((1,), (0,)), 3, "y", True),
+    ):
+        quotient = AbelianQuotient(moduli, images)
+        assert cyclic_centralizer_witness(quotient, 1, parse_word(word), 1, ell, 2) is expected
 
 
 def test_witness_membership_semantics():
@@ -195,6 +205,10 @@ def test_witness_membership_semantics():
     assert cyclic_centralizer_witness(z4, 1, parse_word("y"), 1, 2, 2) is False
     with pytest.raises(ValueError):
         cyclic_centralizer_witness(z4, 1, parse_word("x"), 0, 2, 2)
+    with pytest.raises(ValueError):
+        cyclic_centralizer_witness(z4, 1, parse_word("x"), 1, 4, 2)
+    with pytest.raises(ValueError):
+        AbelianQuotient((3,), ((1, 2), (0,)))
 
 
 def test_witness_scalar_regular_agree():
