@@ -25,7 +25,6 @@ from .crossratio import (
     RHO_PAIR,
     cross_ratio,
     decide_lambda_char0,
-    decide_lambda_charp,
     power_product_solve,
     star_check,
 )
@@ -66,6 +65,7 @@ from .reconstruct import (
     Scenario,
     forced_map_realizable,
     generate_scenario,
+    mobius_to_json,
     reconstruct,
     scenario_from_json,
     scenario_to_json,
@@ -200,7 +200,7 @@ def _sweep_gamma_annihilator(rng, max_order=30, modulus=6):
             if a.is_zero():
                 return cases, "n=%d p=%d: x^gamma - 1 vanished" % (n, q)
             basis = annihilator_basis(shape, modulus, a)
-            if not any(not g.is_zero() for g in basis):
+            if not basis:
                 return cases, "n=%d p=%d: annihilator is zero" % (n, q)
     return cases, None
 
@@ -244,27 +244,14 @@ def _sweep_roundtrip(rng, count=200, fields=_SWEEP_FIELDS):
     return cases, None
 
 
-def _twist_relation_holds(s, delta):
-    b1 = s.e1.points[:3]
-    b2 = [s.e2.points[s.phi[i]] for i in range(3)]
-    for i in range(3, s.size()):
-        cr1 = cross_ratio(b1[0], b1[1], b1[2], s.e1.points[i])
-        cr2 = cross_ratio(b2[0], b2[1], b2[2], s.e2.points[s.phi[i]])
+def _twist_relation_holds(coords, delta):
+    for _, cr1, cr2 in coords:
         if delta >= 0:
             if cr2 != frobenius(cr1, delta):
                 return False
-        else:
-            if cr1 != frobenius(cr2, -delta):
-                return False
+        elif cr1 != frobenius(cr2, -delta):
+            return False
     return True
-
-
-def _has_moving_coordinate(s):
-    b = s.e1.points[:3]
-    return any(
-        not is_constant(cross_ratio(b[0], b[1], b[2], s.e1.points[i]))
-        for i in range(3, s.size())
-    )
 
 
 def _sweep_twist_uniqueness(rng, count=20, delta_bound=4):
@@ -279,10 +266,11 @@ def _sweep_twist_uniqueness(rng, count=20, delta_bound=4):
         s = generate_scenario(
             fld, size, seed=rng.randrange(10**9), twist=twist
         )
-        pinned = _has_moving_coordinate(s)
+        coords = list(s.coordinates())
+        pinned = any(not is_constant(cr1) for _, cr1, _ in coords)
         for delta in range(-delta_bound, delta_bound + 1):
             cases += 1
-            holds = _twist_relation_holds(s, delta)
+            holds = _twist_relation_holds(coords, delta)
             want = delta == twist
             if holds != want and (pinned or want):
                 return cases, (
@@ -508,15 +496,6 @@ def mobius_text(f) -> str:
     return "(%s) / (%s)" % (num, den)
 
 
-def _mobius_json(f):
-    return {
-        "m00": elem_to_text(f.m00),
-        "m01": elem_to_text(f.m01),
-        "m10": elem_to_text(f.m10),
-        "m11": elem_to_text(f.m11),
-    }
-
-
 def _parse_points(field, text):
     pts = []
     for chunk in text.split(","):
@@ -619,7 +598,7 @@ def _cmd_reconstruct(args) -> int:
         "w1": r.w1,
         "w2": r.w2,
         "twist_difference": r.twist_difference(),
-        "f": _mobius_json(r.f),
+        "f": mobius_to_json(r.f),
         "ambiguity": r.ambiguity,
     }
     lines = [
@@ -659,7 +638,7 @@ def _cmd_groupring(args) -> int:
     moduli = tuple(int(m) for m in args.moduli.split(","))
     shape = AbelianShape(moduli)
     a = parse_elem(shape, args.mod, args.elem)
-    basis = [g for g in annihilator_basis(shape, args.mod, a) if not g.is_zero()]
+    basis = annihilator_basis(shape, args.mod, a)
     payload = {
         "moduli": list(moduli),
         "mod": args.mod,

@@ -61,6 +61,11 @@ class ProjPoint:
         return self.b.is_zero()
 
 
+def _check_distinct(pts, message):
+    if any(s == t for s, t in itertools.combinations(pts, 2)):
+        raise ValueError(message)
+
+
 def bracket(x: ProjPoint, y: ProjPoint):
     """[x, y] = a_x b_y - a_y b_x; zero exactly when x = y."""
     return x.a * y.b - y.a * x.b
@@ -89,10 +94,7 @@ class CuspSet:
 def cross_ratio(x1: ProjPoint, x2: ProjPoint, x3: ProjPoint, x4: ProjPoint):
     """[x4,x1][x3,x2] / ([x4,x2][x3,x1]), never in {0, 1, infinity} for
     distinct points."""
-    pts = (x1, x2, x3, x4)
-    for s, t in itertools.combinations(pts, 2):
-        if s == t:
-            raise ValueError("cross-ratio needs pairwise-distinct points")
+    _check_distinct((x1, x2, x3, x4), "cross-ratio needs pairwise-distinct points")
     num = bracket(x4, x1) * bracket(x3, x2)
     den = bracket(x4, x2) * bracket(x3, x1)
     return num / den
@@ -140,9 +142,6 @@ class MobiusMap:
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.m11, -self.m01, -self.m10, self.m00)
 
-    def apply_set(self, e: CuspSet) -> CuspSet:
-        return CuspSet(e.field, tuple(self.apply(pt) for pt in e.points))
-
 
 def _collineation(p1, p2, p3):
     # rows kill p1 and p2 respectively, scaled so p3 lands on 1
@@ -154,15 +153,19 @@ def _collineation(p1, p2, p3):
 def mobius_from_triples(p1, p2, p3, q1, q2, q3) -> MobiusMap:
     """The unique map with p_i -> q_i, via the standard maps of both
     triples onto (0, infinity, 1)."""
-    for s, t in itertools.combinations((p1, p2, p3), 2):
-        if s == t:
-            raise ValueError("degenerate source triple")
-    for s, t in itertools.combinations((q1, q2, q3), 2):
-        if s == t:
-            raise ValueError("degenerate target triple")
+    _check_distinct((p1, p2, p3), "degenerate source triple")
+    _check_distinct((q1, q2, q3), "degenerate target triple")
     sp = MobiusMap(*_collineation(p1, p2, p3))
     sq = MobiusMap(*_collineation(q1, q2, q3))
     return sq.inverse().compose(sp)
+
+
+def twist_point(pt: ProjPoint, n: int) -> ProjPoint:
+    """Raise both homogeneous coordinates to the p^n power; n = 0 returns
+    pt unchanged over every field."""
+    if n == 0:
+        return pt
+    return ProjPoint(frobenius(pt.a, n), frobenius(pt.b, n))
 
 
 def twist_set(e: CuspSet, n: int) -> CuspSet:
@@ -171,15 +174,24 @@ def twist_set(e: CuspSet, n: int) -> CuspSet:
         raise ValueError("twists live over function fields only")
     if n < 0:
         raise ValueError("twist exponent must be nonnegative")
-    return CuspSet(
-        e.field,
-        tuple(ProjPoint(frobenius(pt.a, n), frobenius(pt.b, n)) for pt in e.points),
-    )
+    return CuspSet(e.field, tuple(twist_point(pt, n) for pt in e.points))
 
 
 def _check_lambda_domain(lam):
     if lam.is_zero() or lam == lam.field.one():
         raise ValueError("lambda must avoid 0 and 1")
+
+
+def _check_charp_pair(lam1, lam2):
+    if lam1.field != lam2.field:
+        raise ValueError("field mismatch")
+    if lam1.field.kind != "FpT":
+        raise ValueError("function fields only")
+    if lam1.is_zero() or is_constant(lam1):
+        raise ValueError("lam1 must be non-constant")
+    if lam2.is_zero():
+        raise ValueError("lam2 must avoid 0 and 1")
+    _check_lambda_domain(lam2)
 
 
 def decide_lambda_char0(lam1, lam2) -> str:
@@ -215,15 +227,7 @@ def decide_lambda_char0(lam1, lam2) -> str:
 def decide_lambda_charp(lam1, lam2):
     """The unique n with lam2 = lam1^(p^n), or None when the cyclic
     hypotheses on lam and 1 - lam fail.  lam1 must be non-constant."""
-    if lam1.field != lam2.field:
-        raise ValueError("field mismatch")
-    if lam1.field.kind != "FpT":
-        raise ValueError("function fields only")
-    if lam1.is_zero() or is_constant(lam1):
-        raise ValueError("lam1 must be non-constant")
-    if lam2.is_zero():
-        raise ValueError("lam2 must avoid 0 and 1")
-    _check_lambda_domain(lam2)
+    _check_charp_pair(lam1, lam2)
     p = lam1.field.p
     one = lam1.field.one()
     u = solve_p_power(lam1, lam2, p)
@@ -292,15 +296,7 @@ def exponent_case_decide(lam1, lam2, a1, a2, b1, b2, c1, c2) -> str:
     both apply.  A third alignment would be a defect and raises
     RuntimeError.
     """
-    if lam1.field != lam2.field:
-        raise ValueError("field mismatch")
-    if lam1.field.kind != "FpT":
-        raise ValueError("function fields only")
-    if lam1.is_zero() or is_constant(lam1):
-        raise ValueError("lam1 must be non-constant")
-    if lam2.is_zero():
-        raise ValueError("lam2 must avoid 0 and 1")
-    _check_lambda_domain(lam2)
+    _check_charp_pair(lam1, lam2)
     if not (a1 - a2 == b1 - b2 == c1 - c2):
         raise ValueError("exponent differences must agree")
     p = lam1.field.p

@@ -201,21 +201,6 @@ def _mat_vec(rows, vec):
     return [sum(a * x for a, x in zip(row, vec)) for row in rows]
 
 
-def modinv(a, m):
-    g, x = _ext_gcd(a % m, m)
-    if g != 1:
-        raise ValueError("not invertible")
-    return x % m
-
-
-def _ext_gcd(a, b):
-    x0, x1 = 1, 0
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-    return a, x0
-
-
 def kernel_mod_m(a, m_mod):
     """Generators of {v : a*v == 0 over Z/m_mod} as a Z/m_mod-module.
 
@@ -255,7 +240,7 @@ def solve_mod_m(a, b, m_mod):
             return None
         if i < ncols and di:
             mm = m_mod // g
-            t[i] = ((c[i] // g) * modinv(di // g, mm)) % mm if mm > 1 else 0
+            t[i] = (c[i] // g) * pow(di // g, -1, mm) % mm
     x = _mat_vec(snf.v.entries, t)
     return tuple(v % m_mod for v in x)
 

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 from .exactalg import IntMatrix, is_prime, kernel_mod_m
+from .freegroup import ALPHABET
 
 
 @dataclass(frozen=True)
@@ -229,8 +230,6 @@ def gamma_splitting(n: int, p: int) -> int:
 
 _TERM_RE = re.compile(r"([+-]?)\s*(\d+)?\s*(?:\*\s*)?([a-z](?:\^\d+)?(?:\s*\*?\s*[a-z](?:\^\d+)?)*)?\s*")
 
-_VARS = "xyzabcdefghijklmnopqrstuvw"
-
 
 def parse_elem(shape: AbelianShape, M: int, text: str) -> GroupRingElem:
     """Parse CLI polynomial syntax over the shape: terms like `x^3-1`,
@@ -249,7 +248,7 @@ def parse_elem(shape: AbelianShape, M: int, text: str) -> GroupRingElem:
         key = [0] * len(shape.moduli)
         if m.group(3):
             for piece in re.findall(r"([a-z])(?:\^(\d+))?", m.group(3)):
-                idx = _VARS.index(piece[0])
+                idx = ALPHABET.index(piece[0])
                 if idx >= len(shape.moduli):
                     raise ValueError("variable %r exceeds shape rank" % piece[0])
                 key[idx] += int(piece[1]) if piece[1] else 1
@@ -265,7 +264,7 @@ def elem_text(a: GroupRingElem) -> str:
     for key in sorted(a.coeffs):
         c = a.coeffs[key]
         mono = "*".join(
-            _VARS[i] + ("^%d" % e if e > 1 else "")
+            ALPHABET[i] + ("^%d" % e if e > 1 else "")
             for i, e in enumerate(key)
             if e
         )

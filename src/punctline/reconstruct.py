@@ -14,6 +14,11 @@ first three points of E1 (in input order) are the base triple and are
 sent to (0, infinity, 1) by the normalizing map, so the coordinate of a
 further cusp is the cross ratio against the base triple.  Recovered
 twists are normalized to min(w1, w2) = 0.
+
+Every step reads the scenario through three methods: `coordinates`
+yields each extra cusp's pair of cross ratios, `forced_map(w1, w2)` is
+the map the twisted base triples force, and `maps_onto(f, w1, w2)` is
+the pointwise test f(E1^(p^w1)) = E2^(p^w2) along phi.
 """
 
 import random
@@ -31,7 +36,7 @@ from .crossratio import (
     decide_lambda_charp,
     mobius_from_triples,
     star_check,
-    twist_set,
+    twist_point,
 )
 from .fieldarith import (
     FieldDesc,
@@ -81,18 +86,39 @@ class Scenario:
                 raise ValueError(
                     "nonzero twist needs positive characteristic"
                 )
-            src = self.e1 if n == 0 else twist_set(self.e1, n)
-            for i in range(size):
-                if g.apply(src.points[i]) != self.e2.points[phi[i]]:
-                    raise ValueError(
-                        "secret does not map E1 onto E2 along phi"
-                    )
+            if not self.maps_onto(g, n, 0):
+                raise ValueError("secret does not map E1 onto E2 along phi")
 
     def size(self) -> int:
         return self.e1.size()
 
     def partner(self, i: int) -> ProjPoint:
         return self.e2.points[self.phi[i]]
+
+    def coordinates(self):
+        """Yield (i, lam1, lam2) for each extra cusp i >= 3, lazily: the
+        cross ratios of E1[i] and of its partner against the base
+        triples."""
+        b1 = self.e1.points[:3]
+        b2 = tuple(self.partner(i) for i in range(3))
+        for i in range(3, self.size()):
+            yield (i, cross_ratio(*b1, self.e1.points[i]),
+                   cross_ratio(*b2, self.partner(i)))
+
+    def forced_map(self, w1: int, w2: int) -> MobiusMap:
+        """The map sending the base triple of E1^(p^w1) to its partners
+        in E2^(p^w2)."""
+        return mobius_from_triples(
+            *(twist_point(pt, w1) for pt in self.e1.points[:3]),
+            *(twist_point(self.partner(i), w2) for i in range(3)),
+        )
+
+    def maps_onto(self, f: MobiusMap, w1: int, w2: int) -> bool:
+        """Does f map E1^(p^w1) onto E2^(p^w2) pointwise along phi?"""
+        return all(
+            f.apply(twist_point(pt, w1)) == twist_point(self.partner(i), w2)
+            for i, pt in enumerate(self.e1.points)
+        )
 
 
 @dataclass(frozen=True)
@@ -195,8 +221,7 @@ def generate_scenario(field, size, seed=0, twist=0) -> Scenario:
         if field.char() != 0 and not star_check(e1):
             continue
         g = _random_mobius(rng, field)
-        src = e1 if twist == 0 else twist_set(e1, twist)
-        images = [g.apply(pt) for pt in src.points]
+        images = [g.apply(twist_point(pt, twist)) for pt in e1.points]
         order = list(range(size))
         rng.shuffle(order)
         pts2 = [None] * size
@@ -211,23 +236,14 @@ def generate_scenario(field, size, seed=0, twist=0) -> Scenario:
 
 # --- reconstruction -------------------------------------------------------
 
-def _base_triples(s):
-    b1 = s.e1.points[:3]
-    b2 = tuple(s.partner(i) for i in range(3))
-    return b1, b2
-
-
 def reconstruct_char0(s: Scenario) -> ReconstructionResult:
     """Recover f over Q or Q(rho): per extra cusp the two cross-ratios
     must agree up to the cyclic-subgroup test; a rho-pair verdict is
     reported as an ambiguity, a failed hypothesis is a rejection."""
     if s.field.char() != 0:
         raise ValueError("characteristic-zero scenarios only")
-    b1, b2 = _base_triples(s)
     ambiguity = None
-    for i in range(3, s.size()):
-        lam1 = cross_ratio(b1[0], b1[1], b1[2], s.e1.points[i])
-        lam2 = cross_ratio(b2[0], b2[1], b2[2], s.partner(i))
+    for i, lam1, lam2 in s.coordinates():
         verdict = decide_lambda_char0(lam1, lam2)
         if verdict == HYPOTHESIS_FAILS:
             raise ReconstructionError(
@@ -235,8 +251,7 @@ def reconstruct_char0(s: Scenario) -> ReconstructionResult:
             )
         if verdict == RHO_PAIR:
             ambiguity = RHO_PAIR
-    f = mobius_from_triples(b1[0], b1[1], b1[2], b2[0], b2[1], b2[2])
-    return ReconstructionResult(0, 0, f, ambiguity)
+    return ReconstructionResult(0, 0, s.forced_map(0, 0), ambiguity)
 
 
 def reconstruct_charp(s: Scenario) -> ReconstructionResult:
@@ -258,11 +273,8 @@ def reconstruct_charp(s: Scenario) -> ReconstructionResult:
         raise ValueError(
             "E1 must satisfy the non-constant cross-ratio condition"
         )
-    b1, b2 = _base_triples(s)
     n = 0
-    for i in range(3, s.size()):
-        lam1 = cross_ratio(b1[0], b1[1], b1[2], s.e1.points[i])
-        lam2 = cross_ratio(b2[0], b2[1], b2[2], s.partner(i))
+    for i, lam1, lam2 in s.coordinates():
         n_i = decide_lambda_charp(lam1, lam2)
         if n_i is None:
             raise ReconstructionError(
@@ -276,9 +288,7 @@ def reconstruct_charp(s: Scenario) -> ReconstructionResult:
                 % (i, n, n_i)
             )
     w1, w2 = (n, 0) if n >= 0 else (0, -n)
-    t1 = twist_set(CuspSet(s.field, b1), w1).points
-    t2 = twist_set(CuspSet(s.field, b2), w2).points
-    return ReconstructionResult(w1, w2, mobius_from_triples(*t1, *t2))
+    return ReconstructionResult(w1, w2, s.forced_map(w1, w2))
 
 
 def reconstruct(s: Scenario) -> ReconstructionResult:
@@ -290,17 +300,9 @@ def reconstruct(s: Scenario) -> ReconstructionResult:
 def verify_reconstruction(s: Scenario, r: ReconstructionResult) -> bool:
     """Does r.f map E1^(p^w1) onto E2^(p^w2) pointwise along phi?
     Nonzero twists never verify in characteristic zero."""
-    if s.field.char() == 0:
-        if r.w1 or r.w2:
-            return False
-        e1t, e2t = s.e1, s.e2
-    else:
-        e1t = twist_set(s.e1, r.w1)
-        e2t = twist_set(s.e2, r.w2)
-    return all(
-        r.f.apply(e1t.points[i]) == e2t.points[s.phi[i]]
-        for i in range(s.size())
-    )
+    if s.field.char() == 0 and (r.w1 or r.w2):
+        return False
+    return s.maps_onto(r.f, r.w1, r.w2)
 
 
 def _frobenius_exponent(cr1, cr2, p):
@@ -322,11 +324,8 @@ def forced_map_realizable(s: Scenario) -> bool:
     exactly when all per-cusp Frobenius exponents exist and agree (in
     characteristic zero: when the cross ratios are equal on the nose).
     """
-    b1, b2 = _base_triples(s)
     exps = set()
-    for i in range(3, s.size()):
-        cr1 = cross_ratio(b1[0], b1[1], b1[2], s.e1.points[i])
-        cr2 = cross_ratio(b2[0], b2[1], b2[2], s.partner(i))
+    for _, cr1, cr2 in s.coordinates():
         if s.field.char() == 0:
             if cr1 != cr2:
                 return False
@@ -363,7 +362,7 @@ def _point_from_json(field, data):
     den = elem_from_text(field, str(data["den"]))
     if den.is_zero():
         raise ValueError("zero denominator")
-    return ProjPoint.affine(num / den)
+    return ProjPoint(num, den)
 
 
 def _cusps_from_json(field, data, name):
@@ -386,6 +385,10 @@ def _cusps_from_json(field, data, name):
 _MOBIUS_KEYS = ("m00", "m01", "m10", "m11")
 
 
+def mobius_to_json(f: MobiusMap) -> dict:
+    return {k: elem_to_text(getattr(f, k)) for k in _MOBIUS_KEYS}
+
+
 def scenario_to_json(s: Scenario) -> dict:
     out = {
         "field": s.field.to_json(),
@@ -396,10 +399,7 @@ def scenario_to_json(s: Scenario) -> dict:
     }
     if s.secret is not None:
         g, n = s.secret
-        out["secret"] = {
-            "g": {k: elem_to_text(getattr(g, k)) for k in _MOBIUS_KEYS},
-            "n": n,
-        }
+        out["secret"] = {"g": mobius_to_json(g), "n": n}
     return out
 
 

@@ -36,6 +36,7 @@ from punctline.reconstruct import (
 )
 
 F2T = fpt(2)
+F3T = fpt(3)
 F5T = fpt(5)
 FIELDS = (Q, QRHO, F2T, F5T)
 
@@ -291,7 +292,11 @@ def test_mobius_equivariance():
         s = generate_scenario(field, 5, seed=9, twist=twist)
         r = reconstruct(s)
         moved = Scenario(
-            field, h.apply_set(s.e1), s.e2, s.phi, None
+            field,
+            CuspSet(field, tuple(h.apply(pt) for pt in s.e1.points)),
+            s.e2,
+            s.phi,
+            None,
         )
         r2 = reconstruct(moved)
         assert (r2.w1, r2.w2) == (r.w1, r.w2)
@@ -335,6 +340,28 @@ def test_negative_soundness_matches_oracle():
     assert rejected + realizable == 48
 
 
+def test_rejection_stops_at_the_first_bad_cusp(monkeypatch):
+    # coordinates are taken lazily: a pairing broken at cusp 5 is
+    # rejected after the cross ratios of cusps 3, 4 and 5 only (star_check
+    # calls its own module's cross_ratio and is not counted)
+    for field in (Q, F3T):
+        s = generate_scenario(field, 8, seed=4, twist=0)
+        phi = list(s.phi)
+        phi[5], phi[6] = phi[6], phi[5]
+        broken = Scenario(field, s.e1, s.e2, tuple(phi))
+        calls = []
+
+        def counting(*pts):
+            calls.append(pts)
+            return cross_ratio(*pts)
+
+        monkeypatch.setattr("punctline.reconstruct.cross_ratio", counting)
+        with pytest.raises(ReconstructionError, match=r"cusps? (3 and )?5 "):
+            reconstruct(broken)
+        monkeypatch.undo()
+        assert len(calls) == 6
+
+
 def test_perturbed_results_fail_verification():
     s = generate_scenario(F5T, 5, seed=3, twist=2)
     r = reconstruct(s)
@@ -363,6 +390,28 @@ def test_json_roundtrip():
         data2 = json.loads(json.dumps(scenario_to_json(bare)))
         assert data2["secret"] is None
         assert scenario_from_json(data2) == bare
+
+
+def test_json_points_match_the_affine_value():
+    cases = (
+        (Q, ({"num": "6", "den": "4"}, {"num": "0", "den": "5"},
+             {"num": "-3", "den": "1"}, "inf")),
+        (QRHO, ({"num": "2+2*rho", "den": "2"}, {"num": "0", "den": "rho"},
+                {"num": "rho", "den": "1-rho"}, "inf")),
+        # a non-reduced fraction, a zero numerator, a constant denominator
+        (F3T, ({"num": "t^2+t", "den": "t"}, {"num": "0", "den": "t+2"},
+               {"num": "t", "den": "2"}, "inf")),
+    )
+    for field, pts in cases:
+        data = {"field": field.to_json(), "E1": list(pts), "E2": list(pts),
+                "phi": list(range(len(pts)))}
+        parsed = scenario_from_json(data).e1.points
+        for item, got in zip(pts, parsed):
+            if item == "inf":
+                assert got == ProjPoint.infinity(field)
+            else:
+                num, den = el(field, item["num"]), el(field, item["den"])
+                assert got == ProjPoint.affine(num / den)
 
 
 def test_json_malformed_inputs():
