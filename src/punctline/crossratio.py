@@ -168,15 +168,6 @@ def twist_point(pt: ProjPoint, n: int) -> ProjPoint:
     return ProjPoint(frobenius(pt.a, n), frobenius(pt.b, n))
 
 
-def twist_set(e: CuspSet, n: int) -> CuspSet:
-    """Raise every coordinate to the p^n power."""
-    if e.field.kind != "FpT":
-        raise ValueError("twists live over function fields only")
-    if n < 0:
-        raise ValueError("twist exponent must be nonnegative")
-    return CuspSet(e.field, tuple(twist_point(pt, n) for pt in e.points))
-
-
 def _check_lambda_domain(lam):
     if lam.is_zero() or lam == lam.field.one():
         raise ValueError("lambda must avoid 0 and 1")

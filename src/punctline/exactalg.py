@@ -1,10 +1,10 @@
-"""Exact integer linear algebra: Smith normal form, kernels over Z/M, lattices.
+"""Exact integer arithmetic: Smith normal form, linear algebra over Z/M,
+primality and integer factorization.
 
 Everything here works with arbitrary-precision Python integers.  The main
 entry points are :func:`smith_normal_form` (with unimodular transforms),
-the derived solvers :func:`kernel_mod_m` / :func:`solve_mod_m` /
-:func:`kernel_integer` / :func:`solve_integer`, row-style
-:func:`hermite_normal_form`, and :func:`factor_integer`.
+the derived solvers :func:`kernel_mod_m` / :func:`solve_mod_m`,
+:func:`is_prime` and :func:`factor_integer`.
 """
 
 from dataclasses import dataclass
@@ -25,14 +25,6 @@ class IntMatrix:
         self.entries = entries
         self.rows = len(entries)
         self.cols = len(entries[0])
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, m, n):
-        return cls([[0] * n for _ in range(m)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -243,81 +235,6 @@ def solve_mod_m(a, b, m_mod):
             t[i] = (c[i] // g) * pow(di // g, -1, mm) % mm
     x = _mat_vec(snf.v.entries, t)
     return tuple(v % m_mod for v in x)
-
-
-def kernel_integer(a):
-    """Basis of the integer kernel {v : a*v == 0 over Z}."""
-    snf = smith_normal_form(a)
-    nrows, ncols = snf.d.rows, snf.d.cols
-    diag = snf.d.diagonal()
-    vcols = list(zip(*snf.v.entries))
-    gens = []
-    for j in range(ncols):
-        dj = diag[j] if j < min(nrows, ncols) else 0
-        if dj == 0:
-            gens.append(tuple(vcols[j]))
-    return gens
-
-
-def solve_integer(a, b):
-    """One integer solution x of a*x == b, or None (lattice membership test)."""
-    snf = smith_normal_form(a)
-    nrows, ncols = snf.d.rows, snf.d.cols
-    diag = snf.d.diagonal()
-    c = _mat_vec(snf.u.entries, list(b))
-    t = [0] * ncols
-    for i in range(nrows):
-        di = diag[i] if i < min(nrows, ncols) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di:
-                return None
-            if i < ncols:
-                t[i] = c[i] // di
-    return tuple(_mat_vec(snf.v.entries, t))
-
-
-def hermite_normal_form(rows):
-    """Row-style Hermite normal form of the lattice spanned by `rows`.
-
-    Returns the nonzero rows with positive pivots and entries above each
-    pivot reduced into [0, pivot).
-    """
-    b = [list(map(int, r)) for r in rows]
-    if not b:
-        return []
-    ncols = len(b[0])
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(b)):
-            if b[i][col] and (piv is None or abs(b[i][col]) < abs(b[piv][col])):
-                piv = i
-        if piv is None:
-            continue
-        b[r], b[piv] = b[piv], b[r]
-        while True:
-            done = True
-            for i in range(r + 1, len(b)):
-                if b[i][col]:
-                    q = b[i][col] // b[r][col]
-                    b[i] = [x - q * y for x, y in zip(b[i], b[r])]
-                    if b[i][col]:
-                        b[r], b[i] = b[i], b[r]
-                        done = False
-            if done:
-                break
-        if b[r][col] < 0:
-            b[r] = [-x for x in b[r]]
-        for i in range(r):
-            q = b[i][col] // b[r][col]
-            b[i] = [x - q * y for x, y in zip(b[i], b[r])]
-        r += 1
-        if r == len(b):
-            break
-    return [tuple(row) for row in b[:r] if any(row)]
 
 
 _SMALL_PRIME_BOUND = 10000

@@ -74,7 +74,7 @@ class FieldDesc:
     @classmethod
     def from_json(cls, data):
         if data.get("kind") == "FpT":
-            return cls("FpT", int(data["p"]))
+            return cls("FpT", json_int(data["p"]))
         return cls(data.get("kind"))
 
     def to_text(self) -> str:
@@ -86,6 +86,14 @@ class FieldDesc:
         if text.startswith("FpT:"):
             return cls("FpT", int(text[4:]))
         return cls(text)
+
+
+def json_int(value) -> int:
+    """A JSON integer as read by json.load; bools, floats and strings are
+    rejected rather than truncated or converted."""
+    if type(value) is not int:
+        raise ValueError("expected an integer, got %r" % (value,))
+    return value
 
 
 Q = FieldDesc("Q")
@@ -310,22 +318,6 @@ def _same_field(a, b):
         raise ValueError("field mismatch: %s vs %s" % (a.field, b.field))
 
 
-def arith(a, b, op: str):
-    """CLI-facing dispatcher for the four exact operations."""
-    _same_field(a, b)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op in ("*", "x"):
-        return a * b
-    if op == "/":
-        if b.is_zero():
-            raise ZeroDivisionError("division by zero field element")
-        return a / b
-    raise ValueError("unknown operation %r" % op)
-
-
 # --- text forms ----------------------------------------------------------
 
 def _poly_to_text(f, p):
@@ -399,19 +391,31 @@ def elem_from_text(field: FieldDesc, text: str):
     if field.kind == "Q":
         return QElem(Fraction(s))
     if field.kind == "QRho":
+        # terms c, c*rho and rho, each with an optional sign, c anything
+        # Fraction reads
+        terms = re.findall(r"[+-]?[^+-]+", s)
+        if "".join(terms) != s:
+            raise ValueError("bad Q(rho) element %r" % text)
         a = Fraction(0)
         b = Fraction(0)
-        for term in re.findall(r"[+-]?[^+-]+", s):
-            if "rho" in term:
-                coeff = term[: term.index("rho")].rstrip("*")
-                if coeff in ("", "+"):
-                    b += 1
-                elif coeff == "-":
-                    b -= 1
+        for term in terms:
+            coeff, is_rho = term, term.endswith("rho")
+            if is_rho:
+                coeff = term[:-3]
+                if coeff in ("", "+", "-"):
+                    coeff += "1"
+                elif coeff.endswith("*"):
+                    coeff = coeff[:-1]
                 else:
-                    b += Fraction(coeff)
+                    raise ValueError("bad Q(rho) element %r" % text)
+            try:
+                value = Fraction(coeff)
+            except ValueError:
+                raise ValueError("bad Q(rho) element %r" % text) from None
+            if is_rho:
+                b += value
             else:
-                a += Fraction(term)
+                a += value
         return QRhoElem(a, b)
     p = field.p
     if s.startswith("("):
@@ -455,19 +459,6 @@ class ExponentVector:
         for irr, e in self.factors.items():
             out = out * irr**e
         return out
-
-    def mul(self, other):
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        factors = dict(self.factors)
-        for k, e in other.factors.items():
-            factors[k] = factors.get(k, 0) + e
-        return ExponentVector(self.field, self.torsion * other.torsion, factors)
-
-    def power(self, e: int):
-        return ExponentVector(
-            self.field, self.torsion**e, {k: v * e for k, v in self.factors.items()}
-        )
 
 
 _RAMIFIED = QRhoElem(2, -1)  # 2 - rho, the canonical prime above 3

@@ -104,9 +104,6 @@ class GroupRingElem:
     def __mul__(self, other):
         return grmul(self, other)
 
-    def scale(self, c: int):
-        return GroupRingElem(self.shape, self.M, {k: v * c for k, v in self.coeffs.items()})
-
 
 def grmul(a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
     """Convolution product."""
@@ -117,10 +114,6 @@ def grmul(a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
             key = a.shape.reduce(tuple(x + y for x, y in zip(k1, k2)))
             out[key] = out.get(key, 0) + c1 * c2
     return GroupRingElem(a.shape, a.M, out)
-
-
-def augment(a: GroupRingElem) -> int:
-    return sum(a.coeffs.values()) % a.M
 
 
 def mult_rows(a: GroupRingElem):

@@ -6,21 +6,15 @@ every downstream statement (the fundamental identity, the kernel
 membership test, the metabelian embedding) only consumes the
 abelianized image, and Z[Z^r] arithmetic stays exact.
 
-The centralizer material comes in two flavors.  Over truncated rings it
-is linear algebra on the relation module R = ker(f) with f the
-sum-of-components map; the limit claims are phrased as transition
-compatibility between truncation levels, as in the group-ring module.
-Over a finite abelian quotient G it is a 2x2 block unipotent trick
-with blocks over the group algebra (Z/ell^K)[G]: a commutation in the
-block group forces the quotient image of y into the cyclic group
-generated by the image of x, and the witness reports whether the
-(1,2)-block comparison certifies that.
+The centralizer material is linear algebra over truncated rings, on the
+relation module R = ker(f) with f the sum-of-components map; the limit
+claims are phrased as transition compatibility between truncation
+levels, as in the group-ring module.
 """
 
-import math
 from dataclasses import dataclass, field
 
-from .exactalg import IntMatrix, is_prime, kernel_mod_m, solve_mod_m
+from .exactalg import IntMatrix, kernel_mod_m, solve_mod_m
 from .freegroup import Word, abelianize
 from .groupring import AbelianShape, GroupRingElem, mult_rows, project
 
@@ -99,9 +93,6 @@ class LaurentElem:
                 key = tuple(a + b for a, b in zip(k1, k2))
                 out[key] = out.get(key, 0) + c1 * c2
         return LaurentElem(self.rank, out)
-
-    def scale(self, c):
-        return LaurentElem(self.rank, {k: v * c for k, v in self.coeffs.items()})
 
 
 def fox_derivative(w: Word, i: int, rank=None) -> LaurentElem:
@@ -229,12 +220,6 @@ def magnus_mul(u: MetabelianElem, v: MetabelianElem) -> MetabelianElem:
 
 # --- truncated relation module -----------------------------------------
 
-def truncate_laurent(a: LaurentElem, N: int, M: int) -> GroupRingElem:
-    """Reduce an exact Laurent element into (Z/M)[(Z/N)^r]."""
-    shape = AbelianShape((N,) * a.rank)
-    return GroupRingElem(shape, M, dict(a.coeffs))
-
-
 def _f_matrix(shape, M):
     # f: direct sum of r copies of the ring -> ring, (a_i) -> sum a_i (x_i - 1)
     r = len(shape.moduli)
@@ -313,95 +298,3 @@ def centralizer_kernel_shrinks(r: int, n: int, N: int, n_prime: int, M: int) -> 
         if not vector_in_scaled_span(low, k, image, M):
             return False
     return True
-
-
-# --- finite abelian quotient witness ------------------------------------
-
-@dataclass(frozen=True)
-class AbelianQuotient:
-    """Finite abelian quotient of a free group: target moduli plus the
-    image of each free generator."""
-
-    moduli: tuple
-    images: tuple
-
-    def __post_init__(self):
-        mods = tuple(int(n) for n in self.moduli)
-        if not mods or any(n < 1 for n in mods):
-            raise ValueError("moduli must be integers >= 1")
-        imgs = []
-        for img in self.images:
-            img = tuple(img)
-            if len(img) != len(mods):
-                raise ValueError("image length does not match moduli")
-            imgs.append(tuple(int(x) % n for x, n in zip(img, mods)))
-        object.__setattr__(self, "moduli", mods)
-        object.__setattr__(self, "images", tuple(imgs))
-
-    def rank(self):
-        return len(self.images)
-
-    def order(self):
-        return math.prod(self.moduli)
-
-    def image_of(self, w: Word):
-        vec = [0] * len(self.moduli)
-        for g, e in w.letters:
-            if g > len(self.images):
-                raise ValueError("word uses generator %d beyond the quotient data" % g)
-            for j, x in enumerate(self.images[g - 1]):
-                vec[j] += e * x
-        return tuple(v % n for v, n in zip(vec, self.moduli))
-
-
-def _block_mul(m1, m2):
-    # (a, b, c) stands for the upper-triangular [[a, b], [0, c]]
-    a1, b1, c1 = m1
-    a2, b2, c2 = m2
-    return (a1 * a2, a1 * b2 + b1 * c2, c1 * c2)
-
-
-def cyclic_centralizer_witness(
-    quotient: AbelianQuotient, x_index: int, y: Word, alpha: int, ell: int, k: int
-) -> bool:
-    """Unipotent-block certificate that the quotient image of y lies in
-    the cyclic group generated by the image of x_{x_index}.
-
-    Builds 2x2 blocks over the group algebra (Z/ell^K)[G] of the quotient
-    G, with rho(g) the group element g: generator x_index maps to
-    [[rho(x), rho(x)], [0, rho(x)]], other generators to
-    [[rho(x_j), 0], [0, 1]].  Evaluates Y = psi(y) and
-    E = psi(x^(alpha*|G|)) and compares the (1,2) components of Y*E and
-    E*Y.  The working precision K = k + v_ell(alpha*|G|) makes the
-    comparison equivalent to rho(y) = rho(x)^(exponent sum) mod ell^k.
-    """
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    if k < 1 or not is_prime(ell):
-        raise ValueError("need a prime ell and precision k >= 1")
-    if not 1 <= x_index <= quotient.rank():
-        raise ValueError("x_index out of range")
-    # the quotient is abelian, so the image of y always commutes with the
-    # image of x^alpha; the domain precondition holds by construction
-    e = alpha * quotient.order()
-    v = 0
-    m = abs(e)
-    while m % ell == 0:
-        m //= ell
-        v += 1
-    shape = AbelianShape(quotient.moduli)
-    modulus = ell ** (k + v)
-    one = GroupRingElem.one(shape, modulus)
-    zero = GroupRingElem.zero(shape, modulus)
-
-    def rho(g, exp):
-        return GroupRingElem.monomial(shape, modulus, quotient.image_of(Word(((g, exp),))))
-
-    acc = (one, zero, one)
-    for g, exp in y.letters:
-        a = rho(g, exp)
-        acc = _block_mul(acc, (a, a.scale(exp), a) if g == x_index else (a, zero, one))
-
-    ex = rho(x_index, e)  # identity: |G| kills the image
-    big = (ex, ex.scale(e), ex)
-    return _block_mul(acc, big)[1] == _block_mul(big, acc)[1]

@@ -1,24 +1,17 @@
-"""Multiplicative-lattice decisions in k^times.
+"""Decisions about cyclic subgroups and Kummer layers in k^times.
 
-A finitely generated subgroup of k^times embeds into Z/w + Z^S: the
+An element of k^times is a torsion unit times a product of canonical
+irreducibles (see :func:`fieldarith.factorize`), so it reads as a
 torsion exponent against the field's torsion generator (w = 2, 6, or
-p - 1), plus the exponent vector over the joint support of canonical
-irreducibles.  Every decision below is linear algebra over that
-combined lattice, with the torsion modulus carried as an extra relation
-row (w, 0, ..., 0).
+p - 1) plus an exponent vector over its support.  The decisions below
+compare two elements through that data.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import (
-    IntMatrix,
-    hermite_normal_form,
-    is_prime,
-    kernel_integer,
-    smith_normal_form,
-)
+from .exactalg import is_prime
 from .fieldarith import (
     factorize,
     frobenius,
@@ -38,23 +31,6 @@ def _p_power(a, p: int, e: int):
 
 
 @dataclass(frozen=True)
-class MultSubgroup:
-    field: object
-    generators: tuple
-
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        if not gens:
-            raise ValueError("a subgroup needs at least one generator")
-        for g in gens:
-            if g.field != self.field:
-                raise ValueError("generator outside the subgroup's field")
-            if g.is_zero():
-                raise ValueError("generators must be nonzero")
-        object.__setattr__(self, "generators", gens)
-
-
-@dataclass(frozen=True)
 class KummerInvariant:
     """n-th Kummer layer of a nonzero lam: stands for k(mu_n, lam^(1/n))."""
 
@@ -66,16 +42,6 @@ class KummerInvariant:
             raise ValueError("n must be positive")
         if self.lam.is_zero():
             raise ValueError("lam must be nonzero")
-
-
-@dataclass(frozen=True)
-class SubgroupLattice:
-    """Free-part description of a subgroup: joint support, Hermite-reduced
-    exponent basis over it, and the order of the torsion subgroup."""
-
-    support: tuple
-    basis: tuple
-    torsion: int
 
 
 def _check_pair(a, b):
@@ -97,10 +63,6 @@ def cyclic_equal(a, b) -> bool:
         # exactly when the orders do
         return oa == ob
     return False
-
-
-def _matvec(m, v):
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in m.entries]
 
 
 def solve_p_power(a, b, p: int):
@@ -154,56 +116,11 @@ def solve_p_power(a, b, p: int):
     return None
 
 
-def _combined_rows(evs, support):
-    rows = []
-    for ev in evs:
-        tau = torsion_unit_exponent(ev.torsion)
-        rows.append([tau] + [ev.factors.get(s, 0) for s in support])
-    return rows
-
-
 def _joint_support(evs):
     sup = set()
     for ev in evs:
         sup.update(ev.factors)
     return sorted(sup, key=irreducible_sort_key)
-
-
-def subgroup_power_inclusion(g1: MultSubgroup, g2: MultSubgroup, T):
-    """Minimal N coprime to T with g1^N contained in g2, or None.
-
-    The valid exponents are exactly the multiples of N0, the exponent of
-    the image of g1 in (Z/w + Z^S)/g2, so N0 itself is the answer when
-    coprime to T and no exponent works otherwise.
-    """
-    if g1.field != g2.field:
-        raise ValueError("field mismatch")
-    T = tuple(T)
-    if not T:
-        raise ValueError("T must be nonempty")
-    evs1 = [factorize(g) for g in g1.generators]
-    evs2 = [factorize(g) for g in g2.generators]
-    support = _joint_support(evs1 + evs2)
-    _, w = torsion_generator(g1.field)
-    d = 1 + len(support)
-    lattice = [[w] + [0] * len(support)]
-    lattice += _combined_rows(evs2, support)
-    a_t = [[lattice[j][i] for j in range(len(lattice))] for i in range(d)]
-    snf = smith_normal_form(IntMatrix(a_t))
-    diag = snf.d.diagonal()
-    n0 = 1
-    for row in _combined_rows(evs1, support):
-        c = _matvec(snf.u, row)
-        for i in range(d):
-            di = diag[i] if i < min(d, len(lattice)) else 0
-            if di == 0:
-                if c[i] != 0:
-                    return None
-            else:
-                n0 = math.lcm(n0, di // math.gcd(di, c[i]))
-    if any(math.gcd(n0, t) != 1 for t in T):
-        return None
-    return n0
 
 
 def kummer_equal(k1: KummerInvariant, k2: KummerInvariant) -> bool:
@@ -247,23 +164,3 @@ def kummer_equal(k1: KummerInvariant, k2: KummerInvariant) -> bool:
         return False
 
     return member(v2, t2, v1, t1) and member(v1, t1, v2, t2)
-
-
-def exponent_vector_of_subgroup(g: MultSubgroup) -> SubgroupLattice:
-    """Hermite-reduced basis of the free image plus the torsion order."""
-    evs = [factorize(x) for x in g.generators]
-    support = _joint_support(evs)
-    taus = [torsion_unit_exponent(ev.torsion) for ev in evs]
-    _, w = torsion_generator(g.field)
-    vecs = [[ev.factors.get(s, 0) for s in support] for ev in evs]
-    basis = tuple(tuple(r) for r in hermite_normal_form(vecs) if any(r))
-    # torsion subgroup: combinations of generators landing in the torsion
-    if support:
-        cols = [[vecs[j][i] for j in range(len(vecs))] for i in range(len(support))]
-        kernel = kernel_integer(IntMatrix(cols))
-    else:
-        kernel = [tuple(1 if i == j else 0 for i in range(len(evs))) for j in range(len(evs))]
-    d = w
-    for comb in kernel:
-        d = math.gcd(d, sum(c * t for c, t in zip(comb, taus)))
-    return SubgroupLattice(tuple(support), basis, w // d)

@@ -48,6 +48,7 @@ from .fieldarith import (
     elem_to_text,
     frobenius,
     is_constant,
+    json_int,
 )
 from .multlattice import solve_p_power
 
@@ -417,7 +418,7 @@ def scenario_from_json(data) -> Scenario:
     e1 = _cusps_from_json(field, data["E1"], "E1")
     e2 = _cusps_from_json(field, data["E2"], "E2")
     try:
-        phi = tuple(int(i) for i in data["phi"])
+        phi = tuple(json_int(i) for i in data["phi"])
     except (ValueError, TypeError) as exc:
         raise ValueError("scenario field 'phi': %s" % exc) from None
     secret = data.get("secret")
@@ -427,7 +428,7 @@ def scenario_from_json(data) -> Scenario:
             g = MobiusMap(
                 *(elem_from_text(field, str(gd[k])) for k in _MOBIUS_KEYS)
             )
-            n = int(secret["n"])
+            n = json_int(secret["n"])
         except (ValueError, TypeError, KeyError) as exc:
             raise ValueError("scenario field 'secret': %s" % exc) from None
         secret = (g, n)

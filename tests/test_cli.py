@@ -256,6 +256,8 @@ def test_kummer_exit_codes(capsys):
     assert code == 1 and out == "different\n"
     code, _, err = run(capsys, "kummer", "--field", "Q", "--n", "4", "--a", "2", "--b", "3")
     assert code == 2
+    code, _, err = run(capsys, "kummer", "--field", "QRho", "--n", "3", "--a", "rho5", "--b", "rho")
+    assert code == 2 and "'rho5'" in err
 
 
 def test_crossratio_verb(capsys):

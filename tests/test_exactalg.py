@@ -7,12 +7,9 @@ from punctline.exactalg import (
     IntMatrix,
     det,
     factor_integer,
-    hermite_normal_form,
     is_prime,
-    kernel_integer,
     kernel_mod_m,
     smith_normal_form,
-    solve_integer,
     solve_mod_m,
 )
 
@@ -40,8 +37,8 @@ def snf_contract(a):
 
 
 def test_snf_identity():
-    res = snf_contract(IntMatrix.identity(2))
-    assert res.d == IntMatrix.identity(2)
+    res = snf_contract(IntMatrix([[1, 0], [0, 1]]))
+    assert res.d == IntMatrix([[1, 0], [0, 1]])
 
 
 def test_snf_diag_2_3():
@@ -51,8 +48,8 @@ def test_snf_diag_2_3():
 
 
 def test_snf_zero_matrix():
-    res = snf_contract(IntMatrix.zero(2, 2))
-    assert res.d == IntMatrix.zero(2, 2)
+    res = snf_contract(IntMatrix([[0, 0], [0, 0]]))
+    assert res.d == IntMatrix([[0, 0], [0, 0]])
 
 
 def test_snf_rectangular_and_random():
@@ -135,7 +132,7 @@ def test_kernel_mod_m_frozen():
     # [2] over Z/4: solutions of 2v = 0 are {0, 2}
     gens = kernel_mod_m([[2]], 4)
     assert span_mod(gens, 1, 4) == {(0,), (2,)}
-    assert kernel_mod_m(IntMatrix.identity(3), 5) == []
+    assert kernel_mod_m(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 5) == []
     gens = kernel_mod_m([[0]], 6)
     assert span_mod(gens, 1, 6) == {(v,) for v in range(6)}
 
@@ -166,31 +163,6 @@ def test_solve_mod_m():
             sum(a * v for a, v in zip(row, sol)) % mod == bb for row, bb in zip(rows, b)
         )
     assert solve_mod_m([[2]], [1], 4) is None
-
-
-def test_integer_kernel_and_solve():
-    gens = kernel_integer([[2, -1, 0]])
-    assert gens
-    for g in gens:
-        assert 2 * g[0] - g[1] == 0
-    assert solve_integer([[2, 0], [0, 3]], [4, 9]) == (2, 3)
-    assert solve_integer([[2]], [3]) is None
-    assert solve_integer([[2, 4]], [6]) is not None
-
-
-def test_hermite_normal_form():
-    assert hermite_normal_form([[1, 0], [0, 1]]) == [(1, 0), (0, 1)]
-    assert hermite_normal_form([[2]]) == [(2,)]
-    assert hermite_normal_form([[1, 0], [1, 1]]) == [(1, 0), (0, 1)]
-    # lattice invariance: HNF of shuffled generators is identical
-    rng = random.Random(5)
-    for _ in range(50):
-        rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(4)]
-        h1 = hermite_normal_form(rows)
-        rng.shuffle(rows)
-        rows.append([a + b for a, b in zip(rows[0], rows[1])])
-        h2 = hermite_normal_form(rows)
-        assert h1 == h2
 
 
 def test_det_bareiss():

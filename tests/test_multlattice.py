@@ -18,12 +18,9 @@ from punctline.fieldarith import (
 )
 from punctline.multlattice import (
     KummerInvariant,
-    MultSubgroup,
     cyclic_equal,
-    exponent_vector_of_subgroup,
     kummer_equal,
     solve_p_power,
-    subgroup_power_inclusion,
 )
 
 F2T = fpt(2)
@@ -79,24 +76,6 @@ def test_solve_p_power_factorizes_each_argument_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_subgroup_power_inclusion_examples():
-    g4 = MultSubgroup(Q, (q(4),))
-    g2 = MultSubgroup(Q, (q(2),))
-    g8 = MultSubgroup(Q, (q(8),))
-    g3 = MultSubgroup(Q, (q(3),))
-    assert subgroup_power_inclusion(g4, g2, (3,)) == 1
-    assert subgroup_power_inclusion(g2, g8, (2,)) == 3
-    assert subgroup_power_inclusion(g2, g3, (5,)) is None
-    # the sign forces an even exponent, so excluding 2 kills it
-    gm2 = MultSubgroup(Q, (q(-2),))
-    assert subgroup_power_inclusion(gm2, g2, (3,)) == 2
-    assert subgroup_power_inclusion(gm2, g2, (2,)) is None
-    with pytest.raises(ValueError):
-        subgroup_power_inclusion(g2, g2, ())
-    with pytest.raises(ValueError):
-        subgroup_power_inclusion(g2, MultSubgroup(QRHO, (QRHO.rho(),)), (3,))
-
-
 def test_kummer_equal_examples():
     assert kummer_equal(KummerInvariant(3, q(2)), KummerInvariant(3, q(16)))
     assert not kummer_equal(KummerInvariant(2, q(2)), KummerInvariant(2, q(4)))
@@ -114,38 +93,6 @@ def test_kummer_equal_examples():
         KummerInvariant(0, q(2))
     with pytest.raises(ValueError):
         KummerInvariant(2, q(0))
-
-
-def test_exponent_vector_of_subgroup_examples():
-    lat = exponent_vector_of_subgroup(MultSubgroup(Q, (q(2), q(3))))
-    assert lat.support == (q(2), q(3))
-    assert lat.basis == ((1, 0), (0, 1))
-    assert lat.torsion == 1
-
-    lat = exponent_vector_of_subgroup(MultSubgroup(Q, (q(4),)))
-    assert lat.support == (q(2),)
-    assert lat.basis == ((2,),)
-    assert lat.torsion == 1
-
-    t = F2T.t()
-    lat = exponent_vector_of_subgroup(MultSubgroup(F2T, (t, t * (t + F2T.one()))))
-    assert lat.support == (t, t + F2T.one())
-    assert lat.basis == ((1, 0), (0, 1))
-    assert lat.torsion == 1
-
-    lat = exponent_vector_of_subgroup(MultSubgroup(Q, (q(-1), q(2))))
-    assert lat.support == (q(2),)
-    assert lat.basis == ((1,),)
-    assert lat.torsion == 2
-
-    lat = exponent_vector_of_subgroup(MultSubgroup(QRHO, (QRHO.rho(),)))
-    assert lat.support == ()
-    assert lat.basis == ()
-    assert lat.torsion == 6
-
-    # -4 and 2 together trap -1 = (-4) * 2^(-2)
-    lat = exponent_vector_of_subgroup(MultSubgroup(Q, (q(-4), q(2))))
-    assert lat.torsion == 2
 
 
 def _random_elem(rng, field, nontorsion=True):
@@ -250,8 +197,7 @@ def test_kummer_equal_brute_force():
 
 def test_cyclic_power_transfer_generated_instances():
     # a and eps * a^u span the same Kummer layers at every n built from
-    # odd primes prime to u, and each of <a>, <a, b> includes into the
-    # other after a torsion-size exponent prime to those same primes
+    # odd primes prime to u
     rng = random.Random(17)
     for field in (Q, QRHO, F2T, F5T):
         t_primes = (3, 7, 11, 13) if field.char() == 5 else (3, 5, 7, 11)
@@ -273,19 +219,3 @@ def test_cyclic_power_transfer_generated_instances():
                 for e in (1, 2):
                     n = ell**e
                     assert kummer_equal(KummerInvariant(n, a), KummerInvariant(n, b))
-            g1 = MultSubgroup(field, (a,))
-            g2 = MultSubgroup(field, (a, b))
-            down = subgroup_power_inclusion(g1, g2, t_primes)
-            up = subgroup_power_inclusion(g2, g1, t_primes)
-            assert down == 1
-            assert up is not None
-            assert all(math.gcd(up, ell) == 1 for ell in t_primes)
-
-
-def test_subgroup_validation():
-    with pytest.raises(ValueError):
-        MultSubgroup(Q, ())
-    with pytest.raises(ValueError):
-        MultSubgroup(Q, (q(0),))
-    with pytest.raises(ValueError):
-        MultSubgroup(Q, (QRHO.one(),))

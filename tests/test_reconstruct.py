@@ -426,6 +426,11 @@ def test_json_malformed_inputs():
         ({**good, "phi": [0, 0, 1, 2]}, "phi"),
         ({**good, "phi": [0, 1, "x", 3]}, "phi"),
         ({**good, "secret": {"g": {"m00": "1"}, "n": 0}}, "secret"),
+        # JSON numbers that are not integers are rejected, not truncated
+        ({**good, "phi": [0, 1, 2.7, 3]}, "scenario field 'phi'"),
+        ({**good, "phi": [0, True, 2, 3]}, "scenario field 'phi'"),
+        ({**good, "field": {"kind": "FpT", "p": 5.5}}, "scenario field 'field'"),
+        ({**good, "secret": {**good["secret"], "n": 1.5}}, "scenario field 'secret'"),
     )
     for data, fragment in cases:
         with pytest.raises(ValueError) as err:
