@@ -3,8 +3,16 @@ primality and integer factorization.
 
 Everything here works with arbitrary-precision Python integers.  The main
 entry points are :func:`smith_normal_form` (with unimodular transforms),
-the derived solvers :func:`kernel_mod_m` / :func:`solve_mod_m`,
-:func:`is_prime` and :func:`factor_integer`.
+:func:`kernel_mod_m` / :func:`solve_mod_m`, :func:`is_prime` and
+:func:`factor_integer`.
+
+The solvers over Z/M never lift to Z.  For each prime power q^e exactly
+dividing M they diagonalise over the local ring Z/q^e, where an entry of
+least q-valuation divides all others, so one elimination pass per pivot
+suffices and entries stay below q^e (after J. A. Howell, "Spans in the
+module (Z_m)^s", Lin. Multilin. Alg. 19, 1986, and A. Storjohann and
+T. Mulders, "Fast algorithms for linear algebra modulo N", ESA 1998).
+The Chinese remainder theorem joins the prime powers.
 """
 
 from dataclasses import dataclass
@@ -189,52 +197,143 @@ def det(a):
     return sign * b[n - 1][n - 1]
 
 
-def _mat_vec(rows, vec):
-    return [sum(a * x for a, x in zip(row, vec)) for row in rows]
+def _pivot(block, q_e):
+    """(g, i, j) for an entry block[i][j] of least valuation, g = its gcd
+    with q_e; the first unit if there is one, None if the block is zero."""
+    best = None
+    for i, row in enumerate(block):
+        for j, x in enumerate(row):
+            if x:
+                g = gcd(x, q_e)
+                if g == 1:
+                    return 1, i, j
+                if best is None or g < best[0]:
+                    best = (g, i, j)
+    return best
+
+
+def _local_diagonalise(rows, q_e, rhs):
+    """Row operations P and column operations V over the local ring Z/q_e,
+    q_e a prime power, with P*rows*V diagonal.
+
+    Each step pivots on an entry of least valuation in the remaining block.
+    That pivot divides every entry of the block, so one exact row pass
+    clears its column.  The pivot row then leaves the block, and the column
+    pass that clears it changes nothing else, so it is only recorded, as a
+    factor of V.  rhs goes through the row operations.  Entries stay in
+    [0, q_e).
+
+    Returns (pivots, free, residue).  pivots lists (column, g, inverse, c,
+    ops) by nondecreasing valuation: the pivot is g times a unit, g a power
+    of q, inverse is that unit's inverse, c is the pivot row's entry of
+    P*rhs and ops lists the (column, f) of the column pass, each column
+    losing f times the pivot column.  free lists the columns left without a
+    pivot and residue the entries of P*rhs on the rows left without one.
+    """
+    block = [[x % q_e for x in row] for row in rows]
+    residue = [x % q_e for x in rhs]
+    cols = list(range(len(block[0])))  # the original index of each block column
+    pivots = []
+    while block:
+        best = _pivot(block, q_e)
+        if best is None:
+            break
+        g, i, j = best
+        prow = block.pop(i)
+        cp = residue.pop(i)
+        inv = pow(prow.pop(j) // g, -1, q_e)
+        col = cols.pop(j)
+        for k, row in enumerate(block):
+            f = row.pop(j)
+            if f:
+                f = f // g * inv % q_e
+                block[k] = [(x - f * y) % q_e for x, y in zip(row, prow)]
+                residue[k] = (residue[k] - f * cp) % q_e
+        ops = [(other, y // g * inv % q_e) for other, y in zip(cols, prow) if y]
+        pivots.append((col, g, inv, cp, ops))
+    return pivots, cols, residue
+
+
+def _apply_v(pivots, x, q_e):
+    """V*x modulo q_e, by back substitution: V is the product of the
+    column passes in step order, and the pass of a pivot changes only the
+    pivot's coordinate of a vector, so the last pass applies first."""
+    for col, _, _, _, ops in reversed(pivots):
+        if ops:
+            x[col] = (x[col] - sum(f * x[other] for other, f in ops)) % q_e
+    return x
+
+
+def _local_parts(a, m_mod, rhs=None):
+    """(q_e, idempotent, local diagonalisation) for each prime power q_e
+    exactly dividing m_mod.  Each idempotent is 1 modulo its own prime
+    power and 0 modulo the others."""
+    if m_mod < 2:
+        raise ValueError("modulus must be >= 2")
+    rows = a.entries if isinstance(a, IntMatrix) else a
+    if not rows or not rows[0] or len({len(r) for r in rows}) != 1:
+        raise ValueError("empty or ragged matrix rejected")
+    if rhs is None:
+        rhs = [0] * len(rows)
+    elif len(rhs) != len(rows):
+        raise ValueError("right-hand side has %d entries for %d rows" % (len(rhs), len(rows)))
+    parts = []
+    for q, e in factor_integer(m_mod)[1].items():
+        q_e = q**e
+        rest = m_mod // q_e
+        parts.append((q_e, rest * pow(rest, -1, q_e), _local_diagonalise(rows, q_e, rhs)))
+    return parts
+
+
+def _crt_join(local, m_mod):
+    """The vector modulo m_mod that is each local vector modulo its prime
+    power; local lists (idempotent, vector) pairs."""
+    return tuple(sum(xs) % m_mod for xs in zip(*([idem * x for x in vec] for idem, vec in local)))
 
 
 def kernel_mod_m(a, m_mod):
     """Generators of {v : a*v == 0 over Z/m_mod} as a Z/m_mod-module.
 
     `a` may be an IntMatrix or a sequence of rows; entries are read modulo
-    m_mod.  Every kernel element is a Z/m_mod-combination of the returned
-    tuples (this follows from the Smith decomposition of an integer lift).
+    m_mod.  Modulo each prime power q_e of m_mod, the kernel is V times the
+    kernel of the diagonal matrix: spanned by V*(q_e/g)e_col for each pivot
+    g that is not a unit and by V*e_col for each column without a pivot.
+    The i-th generators of all prime powers are joined into one, so there
+    are as many generators as invariant factors of a (0 for each column
+    past the rows) that are not units modulo m_mod.  Every generator is
+    nonzero.
     """
-    if m_mod < 2:
-        raise ValueError("modulus must be >= 2")
-    snf = smith_normal_form(a)
-    nrows, ncols = snf.d.rows, snf.d.cols
-    diag = snf.d.diagonal()
-    gens = []
-    vcols = list(zip(*snf.v.entries))
-    for j in range(ncols):
-        dj = diag[j] if j < min(nrows, ncols) else 0
-        scale = m_mod // gcd(dj, m_mod)
-        if scale % m_mod == 0:
-            continue
-        gens.append(tuple((scale * x) % m_mod for x in vcols[j]))
-    return [g for g in gens if any(g)]
+    local = []
+    for q_e, idem, (pivots, free, _) in _local_parts(a, m_mod):
+        n = len(pivots) + len(free)
+        starts = [(col, q_e // g) for col, g, _, _, _ in pivots if g > 1]
+        starts.extend((col, 1) for col in free)
+        gens = []
+        for col, value in starts:
+            x = [0] * n
+            x[col] = value
+            gens.append(_apply_v(pivots, x, q_e))
+        local.append((idem, gens))
+    # a prime power with fewer generators adds zero to the later joins
+    count = max(len(gens) for _, gens in local)
+    return [
+        _crt_join([(idem, gens[i]) for idem, gens in local if i < len(gens)], m_mod)
+        for i in range(count)
+    ]
 
 
 def solve_mod_m(a, b, m_mod):
-    """One solution x of a*x == b over Z/m_mod, or None if unsolvable."""
-    if m_mod < 2:
-        raise ValueError("modulus must be >= 2")
-    snf = smith_normal_form(a)
-    nrows, ncols = snf.d.rows, snf.d.cols
-    diag = snf.d.diagonal()
-    c = [x % m_mod for x in _mat_vec(snf.u.entries, list(b))]
-    t = [0] * ncols
-    for i in range(nrows):
-        di = diag[i] if i < min(nrows, ncols) else 0
-        g = gcd(di, m_mod)
-        if c[i] % g:
+    """One solution x of a*x == b over Z/m_mod, or None if unsolvable:
+    modulo each prime power, solve the diagonal system for V^-1 x."""
+    local = []
+    for q_e, idem, (pivots, free, residue) in _local_parts(a, m_mod, list(b)):
+        if any(residue) or any(cp % g for _, g, _, cp, _ in pivots):
             return None
-        if i < ncols and di:
-            mm = m_mod // g
-            t[i] = (c[i] // g) * pow(di // g, -1, mm) % mm
-    x = _mat_vec(snf.v.entries, t)
-    return tuple(v % m_mod for v in x)
+        y = [0] * (len(pivots) + len(free))
+        for col, g, inv, cp, _ in pivots:
+            y[col] = cp // g * inv % q_e
+        local.append((idem, _apply_v(pivots, y, q_e)))
+    return _crt_join(local, m_mod)
 
 
 _SMALL_PRIME_BOUND = 10000

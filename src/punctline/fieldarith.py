@@ -385,6 +385,15 @@ def elem_to_text(a) -> str:
 
 
 def elem_from_text(field: FieldDesc, text: str):
+    """Parse an element text of field; anything malformed, a zero
+    denominator included, raises ValueError quoting the text."""
+    try:
+        return _parse_elem(field, text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in field element %r" % text) from None
+
+
+def _parse_elem(field: FieldDesc, text: str):
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty field element")

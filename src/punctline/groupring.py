@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .exactalg import IntMatrix, is_prime, kernel_mod_m
+from .exactalg import is_prime, kernel_mod_m
 from .freegroup import ALPHABET
 
 
@@ -136,10 +136,10 @@ def annihilator_basis(shape: AbelianShape, M: int, a: GroupRingElem):
     if a.shape != shape or a.M != M:
         raise ValueError("element does not live in the requested ring")
     basis = list(shape.elements())
-    # kernel_mod_m drops zero vectors, so every generator is nonzero
+    # kernel_mod_m returns only nonzero generators
     return [
         GroupRingElem(shape, M, dict(zip(basis, vec)))
-        for vec in kernel_mod_m(IntMatrix(mult_rows(a)), M)
+        for vec in kernel_mod_m(mult_rows(a), M)
     ]
 
 

@@ -14,7 +14,7 @@ levels, as in the group-ring module.
 
 from dataclasses import dataclass, field
 
-from .exactalg import IntMatrix, kernel_mod_m, solve_mod_m
+from .exactalg import kernel_mod_m, solve_mod_m
 from .freegroup import Word, abelianize
 from .groupring import AbelianShape, GroupRingElem, mult_rows, project
 
@@ -238,7 +238,7 @@ def _kernel_vectors(rows, shape, M, r):
     q = len(basis)
     return [
         tuple(GroupRingElem(shape, M, dict(zip(basis, vec[i * q:(i + 1) * q]))) for i in range(r))
-        for vec in kernel_mod_m(IntMatrix(rows), M)
+        for vec in kernel_mod_m(rows, M)
     ]
 
 
@@ -281,7 +281,7 @@ def vector_in_scaled_span(vectors, scale: int, target, M: int) -> bool:
         for g in basis:
             cols.append([scale * v[i].coeffs.get(g, 0) for v in vectors])
             rhs.append(t.coeffs.get(g, 0))
-    return solve_mod_m(IntMatrix(cols), rhs, M) is not None
+    return solve_mod_m(cols, rhs, M) is not None
 
 
 def centralizer_kernel_shrinks(r: int, n: int, N: int, n_prime: int, M: int) -> bool:

@@ -373,7 +373,7 @@ def _cusps_from_json(field, data, name):
     for i, item in enumerate(data):
         try:
             pts.append(_point_from_json(field, item))
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ValueError(
                 "scenario field %r, point %d: %s" % (name, i, exc)
             ) from None

@@ -14,6 +14,7 @@ from punctline.cli import (
 )
 from punctline.crossratio import MobiusMap
 from punctline.fieldarith import FieldDesc
+from punctline.groupring import AbelianShape, parse_elem
 from punctline.magnusfox import LaurentElem
 from punctline.reconstruct import (
     Scenario,
@@ -258,6 +259,10 @@ def test_kummer_exit_codes(capsys):
     assert code == 2
     code, _, err = run(capsys, "kummer", "--field", "QRho", "--n", "3", "--a", "rho5", "--b", "rho")
     assert code == 2 and "'rho5'" in err
+    # a zero denominator is a usage error naming the text, not a traceback
+    for field in ("Q", "QRho", "FpT:2"):
+        code, _, err = run(capsys, "kummer", "--field", field, "--n", "3", "--a", "1/0", "--b", "2")
+        assert code == 2 and "'1/0'" in err
 
 
 def test_crossratio_verb(capsys):
@@ -268,6 +273,8 @@ def test_crossratio_verb(capsys):
     code, _, err = run(capsys, "crossratio", "--field", "Q", "--points", "0,inf,1")
     assert code == 2
     assert "4 points" in err
+    code, _, err = run(capsys, "crossratio", "--field", "Q", "--points", "0,inf,1,1/0")
+    assert code == 2 and "'1/0'" in err
 
 
 def test_power_products_verb(capsys):
@@ -292,6 +299,16 @@ def test_groupring_verb_exit_codes(capsys):
     code, out, _ = run(capsys, "groupring", "--moduli", "5", "--mod", "6", "--elem", "x")
     assert code == 1
     assert out.splitlines()[0] == "annihilator generators: 0"
+    code, out, _ = run(capsys, "groupring", "--moduli", "2", "--mod", "6", "--elem", "1+x+x^2")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "annihilator generators: 1"
+    # any generator of the annihilator will do, so check its span, not its text:
+    # (2 + x)(a + b*x) = (2a + b) + (a + 2b)*x, as x^2 = 1
+    gen = parse_elem(AbelianShape((2,)), 6, lines[1])
+    g = [gen.coeffs.get((i,), 0) for i in range(2)]
+    assert {(c * g[0] % 6, c * g[1] % 6) for c in range(6)} == {
+        (a, b) for a in range(6) for b in range(6) if (2 * a + b) % 6 == 0 == (a + 2 * b) % 6
+    }
 
 
 def test_small_sweeps_pass():

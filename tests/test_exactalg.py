@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -163,6 +164,47 @@ def test_solve_mod_m():
             sum(a * v for a, v in zip(row, sol)) % mod == bb for row, bb in zip(rows, b)
         )
     assert solve_mod_m([[2]], [1], 4) is None
+
+
+def test_solvers_match_enumeration_and_snf_count():
+    """Kernel span and solvability against enumeration of (Z/M)^n, with
+    every solution checked; the kernel's generator count against the
+    invariant factors of smith_normal_form that are not units mod M."""
+    rng = random.Random(4093)
+    shapes = ((1, 1), (3, 1), (3, 2), (2, 2), (1, 3), (2, 3), (3, 3))
+    for mod in (4, 8, 9, 12, 25, 30):
+        divisors = [d for d in range(1, mod + 1) if mod % d == 0]
+        cases = [[[0] * n for _ in range(m)] for m, n in ((2, 2), (1, 3), (3, 1))]
+        for m, n in shapes:
+            # entries times a divisor of M, so pivots of every valuation
+            # occur, also in blocks without a unit
+            for scales in (divisors, divisors[1:]):
+                cases.append(
+                    [[rng.randint(-mod, mod) * rng.choice(scales) for _ in range(n)] for _ in range(m)]
+                )
+        for rows in cases:
+            n = len(rows[0])
+            kernel, image = set(), set()
+            for x in itertools.product(range(mod), repeat=n):
+                ax = tuple(sum(a * v for a, v in zip(row, x)) % mod for row in rows)
+                image.add(ax)
+                if not any(ax):
+                    kernel.add(x)
+            gens = kernel_mod_m(rows, mod)
+            assert all(any(g) for g in gens)
+            assert span_mod(gens, n, mod) == kernel
+            diag = smith_normal_form(rows).invariant_factors()
+            diag += (0,) * (n - len(diag))
+            assert len(gens) == sum(1 for d in diag if gcd(d, mod) != 1)
+            targets = [tuple(rng.randrange(mod) for _ in rows) for _ in range(4)]
+            targets.append(rng.choice(sorted(image)))
+            for b in targets:
+                sol = solve_mod_m(rows, b, mod)
+                assert (sol is not None) == (b in image)
+                if sol is not None:
+                    assert all(
+                        sum(a * v for a, v in zip(row, sol)) % mod == bb for row, bb in zip(rows, b)
+                    )
 
 
 def test_det_bareiss():

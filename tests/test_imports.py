@@ -1,5 +1,6 @@
 """Lints over src/punctline/: every imported name is used in its module,
-and every module-level definition is used somewhere."""
+and every module-level definition is used somewhere; and every Python
+file of the project parses as Python 3.10, the oldest version it supports."""
 
 import ast
 import collections
@@ -72,3 +73,12 @@ def test_no_dead_definitions():
         and total[node.name] == sum(1 for n in _referenced_names(node) if n == node.name)
     ]
     assert dead == []
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml declares requires-python >= 3.10, so no file may use
+    newer syntax (except*, for one); ast checks the grammar under 3.11+."""
+    paths = [p for d in (SRC, ROOT / "tests", BENCH) for p in sorted(d.rglob("*.py"))]
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

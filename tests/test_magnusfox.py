@@ -167,5 +167,26 @@ def test_centralizer_kernel():
         assert f_total.is_zero()
 
 
+# the benchmark's centralizer boxes (r, n, N, n'), n | n' | N, where the
+# kernel lands in k*R' for every modulus
+THEOREM_BOXES = (
+    (2, 1, 2, 1), (2, 1, 2, 2), (2, 2, 2, 2), (2, 1, 3, 1), (3, 1, 2, 1),
+    (3, 1, 2, 2), (3, 2, 2, 2), (2, 1, 4, 1), (2, 1, 4, 2), (2, 2, 4, 2),
+    (2, 1, 4, 4), (2, 2, 4, 4), (2, 4, 4, 4), (2, 1, 6, 2), (2, 2, 6, 2),
+    (2, 1, 6, 3), (2, 3, 6, 3),
+)
+
+
 def test_centralizer_kernel_shrinks():
     assert centralizer_kernel_shrinks(2, 1, 4, 2, 4) is True
+    moduli = (2, 3, 4, 6, 8)
+    for box in THEOREM_BOXES:
+        assert [centralizer_kernel_shrinks(*box, M) for M in moduli] == [True] * 5, box
+    # boxes with n not dividing n', where the inclusion fails for some moduli
+    frozen = {
+        (2, 4, 4, 2): [False, True, False, False, False],
+        (2, 3, 6, 2): [True, False, True, False, True],
+        (2, 2, 6, 3): [False, True, False, False, False],
+    }
+    for box, verdicts in frozen.items():
+        assert [centralizer_kernel_shrinks(*box, M) for M in moduli] == verdicts, box

@@ -426,6 +426,8 @@ def test_json_malformed_inputs():
         ({**good, "phi": [0, 0, 1, 2]}, "phi"),
         ({**good, "phi": [0, 1, "x", 3]}, "phi"),
         ({**good, "secret": {"g": {"m00": "1"}, "n": 0}}, "secret"),
+        ({**good, "secret": {**good["secret"], "g": {**good["secret"]["g"], "m00": "1/0"}}},
+         "scenario field 'secret'"),
         # JSON numbers that are not integers are rejected, not truncated
         ({**good, "phi": [0, 1, 2.7, 3]}, "scenario field 'phi'"),
         ({**good, "phi": [0, True, 2, 3]}, "scenario field 'phi'"),
