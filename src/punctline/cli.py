@@ -586,10 +586,14 @@ def _cmd_reconstruct(args) -> int:
     try:
         r = reconstruct(s)
     except ReconstructionError as exc:
-        if args.json:
-            print(json.dumps({"accepted": False, "reason": str(exc)}))
-        else:
-            print("rejected: %s" % exc)
+        payload = {
+            "accepted": False,
+            "reason": str(exc),
+            "cusp": exc.cusp,
+            "code": exc.reason,
+            "exponents": list(exc.exponents),
+        }
+        _emit(args, payload, ["rejected: %s" % exc])
         return EXIT_VIOLATION
     verified = verify_reconstruction(s, r)
     payload = {
@@ -791,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "star-check",
         parents=[common],
-        help="difference-of-p-powers obstruction for a cusp set",
+        help="non-isotriviality: no four cusps with a constant cross-ratio",
     )
     p.add_argument("--field", required=True, help="FpT:p")
     p.add_argument(

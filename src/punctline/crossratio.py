@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import fppoly
 from .exactalg import is_prime
 from .fieldarith import FieldDesc, frobenius, is_constant
 from .multlattice import cyclic_equal, solve_p_power
@@ -313,10 +314,33 @@ def exponent_case_decide(lam1, lam2, a1, a2, b1, b2, c1, c2) -> str:
 
 def star_check(e: CuspSet) -> bool:
     """True when no 4-subset has a constant cross-ratio (vacuous for
-    size 3)."""
+    size 3); the non-isotriviality condition over F_p(t).
+
+    F_p is algebraically closed in F_p(t), so a constant cross-ratio
+    lies in F_p minus {0, 1}.  For i < j < k < l with brackets
+    B[k][i] = [x_k, x_i], cross_ratio(x_i, x_j, x_k, x_l) = y_l / y_k
+    where y_k = B[k][i] / B[k][j], so it is constant exactly when y_k
+    and y_l differ by a factor in F_p^*: the four points lie on one
+    F_p-rational subline.  Each y is in lowest terms with a monic
+    denominator, so (monic numerator, denominator) keys its F_p^* class
+    and each pair (i, j) looks for a repeated key among k > j:
+    C(n, 2) brackets and C(n, 3) divisions.
+    """
     if e.field.kind != "FpT":
         raise ValueError("the non-isotriviality check lives over function fields")
-    for quad in itertools.combinations(e.points, 4):
-        if is_constant(cross_ratio(*quad)):
-            return False
+    p = e.field.p
+    if p == 2:
+        # F_2 minus {0, 1} is empty: no cross-ratio can be constant
+        return True
+    pts = e.points
+    b = [[bracket(x, y) for y in pts[:k]] for k, x in enumerate(pts)]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            keys = set()
+            for row in b[j + 1:]:
+                y = row[i] / row[j]
+                key = (fppoly.monic(y.num, p), y.den)
+                if key in keys:
+                    return False
+                keys.add(key)
     return True

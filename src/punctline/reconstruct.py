@@ -53,8 +53,27 @@ from .fieldarith import (
 from .multlattice import solve_p_power
 
 
+_REJECTIONS = {
+    "cyclic-hypothesis": "cusp %d breaks the cyclic-subgroup hypotheses",
+    "no-exponent": "cusp %d admits no Frobenius-twist exponent",
+    "exponent-mismatch": "cusps 3 and %d force twist exponents %d and %d",
+}
+
+
 class ReconstructionError(Exception):
-    """The cusp data admits no twisted Mobius map compatible with phi."""
+    """The cusp data admits no twisted Mobius map compatible with phi.
+
+    cusp is the first extra cusp that fails, reason names the failed
+    check (a key of _REJECTIONS), and exponents is (n, n_i), the twist
+    exponents of cusps 3 and cusp, for "exponent-mismatch", else ().
+    The message is built from these three.
+    """
+
+    def __init__(self, cusp: int, reason: str, exponents: tuple = ()):
+        super().__init__(_REJECTIONS[reason] % ((cusp,) + exponents))
+        self.cusp = cusp
+        self.reason = reason
+        self.exponents = exponents
 
 
 @dataclass(frozen=True)
@@ -247,9 +266,7 @@ def reconstruct_char0(s: Scenario) -> ReconstructionResult:
     for i, lam1, lam2 in s.coordinates():
         verdict = decide_lambda_char0(lam1, lam2)
         if verdict == HYPOTHESIS_FAILS:
-            raise ReconstructionError(
-                "cusp %d breaks the cyclic-subgroup hypotheses" % i
-            )
+            raise ReconstructionError(i, "cyclic-hypothesis")
         if verdict == RHO_PAIR:
             ambiguity = RHO_PAIR
     return ReconstructionResult(0, 0, s.forced_map(0, 0), ambiguity)
@@ -278,16 +295,11 @@ def reconstruct_charp(s: Scenario) -> ReconstructionResult:
     for i, lam1, lam2 in s.coordinates():
         n_i = decide_lambda_charp(lam1, lam2)
         if n_i is None:
-            raise ReconstructionError(
-                "cusp %d admits no Frobenius-twist exponent" % i
-            )
+            raise ReconstructionError(i, "no-exponent")
         if i == 3:
             n = n_i
         elif n_i != n:
-            raise ReconstructionError(
-                "cusps 3 and %d force twist exponents %d and %d"
-                % (i, n, n_i)
-            )
+            raise ReconstructionError(i, "exponent-mismatch", (n, n_i))
     w1, w2 = (n, 0) if n >= 0 else (0, -n)
     return ReconstructionResult(w1, w2, s.forced_map(w1, w2))
 

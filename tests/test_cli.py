@@ -232,6 +232,42 @@ def test_reconstruct_rejects_corrupted_pairing(tmp_path, capsys):
     assert payload["accepted"] is False or payload["verified"] is False
 
 
+def test_reconstruct_rejection_names_cusp_and_code(tmp_path, capsys):
+    cases = (
+        ("Q", ("0", "inf", "1", "2"), ("0", "inf", "1", "3"),
+         {"accepted": False,
+          "reason": "cusp 3 breaks the cyclic-subgroup hypotheses",
+          "cusp": 3, "code": "cyclic-hypothesis", "exponents": []}),
+        ("FpT:3", ("0", "inf", "1", "t"), ("0", "inf", "1", "t+1"),
+         {"accepted": False,
+          "reason": "cusp 3 admits no Frobenius-twist exponent",
+          "cusp": 3, "code": "no-exponent", "exponents": []}),
+        ("FpT:2", ("0", "inf", "1", "t", "t+1"), ("0", "inf", "1", "t^2", "t+1"),
+         {"accepted": False,
+          "reason": "cusps 3 and 4 force twist exponents 1 and 0",
+          "cusp": 4, "code": "exponent-mismatch", "exponents": [1, 0]}),
+    )
+
+    def point(text):
+        return text if text == "inf" else {"num": text, "den": "1"}
+
+    for field, e1, e2, want in cases:
+        data = {
+            "field": FieldDesc.from_text(field).to_json(),
+            "E1": [point(x) for x in e1],
+            "E2": [point(x) for x in e2],
+            "phi": list(range(len(e1))),
+        }
+        path = tmp_path / "rejected.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "reconstruct", "--input", str(path), "--json")
+        assert code == 1
+        assert json.loads(out) == want
+        code, out, _ = run(capsys, "reconstruct", "--input", str(path))
+        assert code == 1
+        assert out == "rejected: %s\n" % want["reason"]
+
+
 def test_reconstruct_malformed_input_names_field(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"field": {"kind": "Q"}, "E2": [], "phi": []}')

@@ -299,15 +299,33 @@ def test_star_check_examples():
         star_check(CuspSet(Q, (pt(Q, 0), pt(Q, 1), inf(Q))))
 
 
+def _subline_pool(field):
+    # infinity, the constants and their translates by t lie on two
+    # F_p-sublines, so 4-sets with a constant cross-ratio are common
+    t, one = field.t(), field.one()
+    consts = [field.from_int(c) for c in range(field.p)]
+    vals = consts + [t + c for c in consts]
+    vals += [one / t, one / (t + one), t * t, t * t + t, t * t * t + one]
+    return [inf(field)] + sorted((ProjPoint.affine(v) for v in set(vals)), key=repr)
+
+
 def test_star_check_nonconstancy_matches_direct_computation():
-    rng = random.Random(55)
-    for field in (F2T, F5T):
-        pool = _point_pool(field)
-        for _ in range(30):
-            pts = tuple(rng.sample(pool, rng.randint(4, 6)))
-            e = CuspSet(field, pts)
-            want = all(
-                not is_constant(cross_ratio(*quad))
+    # the C(n, 4) cross-ratios are the oracle for the subline test
+    rng = random.Random(9)
+    failing = with_infinity = 0
+    for p in (2, 3, 5, 7):
+        field = fpt(p)
+        pool = _subline_pool(field)
+        for _ in range(90):
+            pts = tuple(rng.sample(pool, rng.randint(3, 10)))
+            want = not any(
+                is_constant(cross_ratio(*quad))
                 for quad in itertools.combinations(pts, 4)
             )
-            assert star_check(e) == want
+            assert star_check(CuspSet(field, pts)) == want
+            # a constant cross-ratio would lie in F_2 minus {0, 1}
+            assert want or p != 2
+            failing += not want
+            with_infinity += inf(field) in pts
+    assert failing >= 100
+    assert with_infinity >= 100

@@ -129,14 +129,18 @@ def test_charp_frozen_twists():
 
 def test_charp_rejects_unrelated_sets():
     cases = [
-        (("0", "inf", "1", "t"), ("0", "inf", "1", "t+1")),
+        (("0", "inf", "1", "t"), ("0", "inf", "1", "t+1"),
+         (3, "no-exponent", ())),
         # cusp 3 forces twist 1 and cusp 4 twist 0
-        (("0", "inf", "1", "t", "t+1"), ("0", "inf", "1", "t^2", "t+1")),
+        (("0", "inf", "1", "t", "t+1"), ("0", "inf", "1", "t^2", "t+1"),
+         (4, "exponent-mismatch", (1, 0))),
     ]
-    for e1, e2 in cases:
+    for e1, e2, rejection in cases:
         s = scene(F2T, e1, e2, tuple(range(len(e1))))
-        with pytest.raises(ReconstructionError):
+        with pytest.raises(ReconstructionError) as info:
             reconstruct_charp(s)
+        exc = info.value
+        assert (exc.cusp, exc.reason, exc.exponents) == rejection
         assert not forced_map_realizable(s)
 
 
@@ -343,8 +347,8 @@ def test_negative_soundness_matches_oracle():
 def test_rejection_stops_at_the_first_bad_cusp(monkeypatch):
     # coordinates are taken lazily: a pairing broken at cusp 5 is
     # rejected after the cross ratios of cusps 3, 4 and 5 only (star_check
-    # calls its own module's cross_ratio and is not counted)
-    for field in (Q, F3T):
+    # takes no cross ratios)
+    for field, code in ((Q, "cyclic-hypothesis"), (F3T, "no-exponent")):
         s = generate_scenario(field, 8, seed=4, twist=0)
         phi = list(s.phi)
         phi[5], phi[6] = phi[6], phi[5]
@@ -356,10 +360,12 @@ def test_rejection_stops_at_the_first_bad_cusp(monkeypatch):
             return cross_ratio(*pts)
 
         monkeypatch.setattr("punctline.reconstruct.cross_ratio", counting)
-        with pytest.raises(ReconstructionError, match=r"cusps? (3 and )?5 "):
+        with pytest.raises(ReconstructionError, match=r"cusps? (3 and )?5 ") as info:
             reconstruct(broken)
         monkeypatch.undo()
         assert len(calls) == 6
+        assert (info.value.cusp, info.value.reason) == (5, code)
+        assert info.value.exponents == ()
 
 
 def test_perturbed_results_fail_verification():
