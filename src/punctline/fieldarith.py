@@ -13,6 +13,11 @@ Canonical irreducibles, so exponent vectors compare across elements:
           primes away from 3; the ramified prime above 3 is pinned to
           2 - rho (it has no primary associate); inert rational primes
           q = 2 (mod 3) are taken positive (already primary)
+
+An F_p(t) element is stored in lowest terms with a monic denominator;
+its arithmetic relies on that form and keeps it (see FpTElem).  F_p(t)
+input is bounded by MAX_DEGREE, in element texts and in Frobenius
+twists.
 """
 
 import functools
@@ -98,6 +103,12 @@ def json_int(value) -> int:
 
 Q = FieldDesc("Q")
 QRHO = FieldDesc("QRho")
+
+
+# The largest degree an F_p(t) input may ask for: a term exponent in an
+# element text, or the factor p^n by which a Frobenius twist multiplies
+# every degree.  Beyond it, input is rejected rather than allocated.
+MAX_DEGREE = 2**16
 
 
 @functools.cache
@@ -230,6 +241,14 @@ class QRhoElem:
 
 
 class FpTElem:
+    """num/den in F_p(t), always in canonical form: num and den coprime,
+    den monic (so 0 is 0/1).  Equality and hashing compare the stored
+    tuples, and the arithmetic below relies on its operands being in
+    this form: a gcd of the factors (Henrici for products, Knuth for
+    sums; TAOCP Vol. 2, 4.5.1) then gives a result already in canonical
+    form, which _reduced stores without the full gcd of numerator and
+    denominator that __init__ runs on arbitrary input."""
+
     __slots__ = ("p", "num", "den", "field")
 
     def __init__(self, p, num, den=fppoly.ONE):
@@ -273,28 +292,50 @@ class FpTElem:
     def __add__(self, other):
         _same_field(self, other)
         p = self.p
-        num = fppoly.add(
-            fppoly.mul(self.num, other.den, p), fppoly.mul(other.num, self.den, p), p
-        )
-        return FpTElem(p, num, fppoly.mul(self.den, other.den, p))
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = fppoly.ONE if b == fppoly.ONE or d == fppoly.ONE else fppoly.gcd(b, d, p)
+        if g == fppoly.ONE:
+            # a zero sum here has b = d = 1, so the result is 0/1
+            num = fppoly.add(fppoly.mul(a, d, p), fppoly.mul(c, b, p), p)
+            return _reduced(p, num, fppoly.mul(b, d, p))
+        # a/b + c/d = t / ((b/g)(d/g) g) with t = a (d/g) + c (b/g); t is
+        # prime to b/g and to d/g, so only a factor of g can cancel
+        b = _exact_div(b, g, p)
+        d = _exact_div(d, g, p)
+        num = fppoly.add(fppoly.mul(a, d, p), fppoly.mul(c, b, p), p)
+        if not num:
+            return _reduced(p, fppoly.ZERO, fppoly.ONE)
+        num, g = _cancel(num, g, p)
+        return _reduced(p, num, fppoly.mul(fppoly.mul(b, d, p), g, p))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return FpTElem(self.p, fppoly.neg(self.num, self.p), self.den)
+        return _reduced(self.p, fppoly.neg(self.num, self.p), self.den)
 
     def __mul__(self, other):
         _same_field(self, other)
         p = self.p
-        return FpTElem(
-            p, fppoly.mul(self.num, other.num, p), fppoly.mul(self.den, other.den, p)
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a or not c:
+            return _reduced(p, fppoly.ZERO, fppoly.ONE)
+        # a/b and c/d are in lowest terms, so only a with d and c with b
+        # can share factors
+        a, d = _cancel(a, d, p)
+        c, b = _cancel(c, b, p)
+        return _reduced(p, fppoly.mul(a, c, p), fppoly.mul(b, d, p))
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
-        return FpTElem(self.p, self.den, self.num)
+        p = self.p
+        num, den = self.den, self.num
+        if den[-1] != 1:
+            inv = pow(den[-1], -1, p)
+            num = fppoly.scale(num, inv, p)
+            den = fppoly.scale(den, inv, p)
+        return _reduced(p, num, den)
 
     def __truediv__(self, other):
         _same_field(self, other)
@@ -311,6 +352,31 @@ class FpTElem:
             base = base * base
             e >>= 1
         return out
+
+
+def _reduced(p, num, den):
+    """The FpTElem num/den for data already in canonical form (coprime,
+    den monic): the one constructor that skips __init__'s gcd."""
+    out = object.__new__(FpTElem)
+    object.__setattr__(out, "p", p)
+    object.__setattr__(out, "num", num)
+    object.__setattr__(out, "den", den)
+    object.__setattr__(out, "field", fpt(p))
+    return out
+
+
+def _exact_div(f, g, p):
+    # f / g for a monic g that divides f
+    return f if g == fppoly.ONE else fppoly.divmod_poly(f, g, p)[0]
+
+
+def _cancel(f, g, p):
+    """(f / h, g / h) for h = gcd(f, g), with f nonzero and g monic (so
+    g / h stays monic)."""
+    if len(f) == 1 or g == fppoly.ONE:
+        return f, g
+    h = fppoly.gcd(f, g, p)
+    return _exact_div(f, h, p), _exact_div(g, h, p)
 
 
 def _same_field(a, b):
@@ -357,6 +423,11 @@ def _poly_from_text(text, p):
         e = 0
         if m.group(3):
             e = int(m.group(4)) if m.group(4) else 1
+        if e > MAX_DEGREE:
+            raise ValueError(
+                "exponent %d in %r exceeds the degree bound %d of FpT:%d"
+                % (e, text, MAX_DEGREE, p)
+            )
         coeffs[e] = coeffs.get(e, 0) + c
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
@@ -607,14 +678,21 @@ def frobenius(a, n: int):
     if n == 0:
         return a
     q = a.p**n
-    # spreading preserves coprimality and the monic denominator, so the
-    # reducing constructor would redo a large no-op gcd
-    out = object.__new__(FpTElem)
-    object.__setattr__(out, "p", a.p)
-    object.__setattr__(out, "num", fppoly.spread(a.num, q))
-    object.__setattr__(out, "den", fppoly.spread(a.den, q))
-    object.__setattr__(out, "field", a.field)
-    return out
+    # spreading preserves coprimality and the monic denominator
+    return _reduced(a.p, fppoly.spread(a.num, q), fppoly.spread(a.den, q))
+
+
+def check_twist(field: FieldDesc, n: int):
+    """Reject a Frobenius twist n whose p^n exceeds MAX_DEGREE (twisting
+    multiplies every degree by p^n).  From n = MAX_DEGREE.bit_length()
+    on, p^n exceeds it for every p, so a huge n is never raised to."""
+    if n and field.char() and (
+        n >= MAX_DEGREE.bit_length() or field.p**n > MAX_DEGREE
+    ):
+        raise ValueError(
+            "twist %d: p^%d exceeds the degree bound %d of %s"
+            % (n, n, MAX_DEGREE, field.to_text())
+        )
 
 
 def torsion_generator(field: FieldDesc):
@@ -633,12 +711,42 @@ def torsion_generator(field: FieldDesc):
 def torsion_unit_exponent(u) -> int:
     """Discrete log of a torsion unit against the field's torsion generator."""
     gen, order = torsion_generator(u.field)
+    if u.field.kind == "FpT":
+        if not is_constant(u) or u.is_zero():
+            raise ValueError("%r is not a torsion unit" % (u,))
+        return _discrete_log(u.num[0], gen.num[0], u.p)
     cur = u.field.one()
     for j in range(order):
         if cur == u:
             return j
         cur = cur * gen
     raise ValueError("%r is not a torsion unit" % (u,))
+
+
+def _discrete_log(h, g, p):
+    """The j in [0, p - 1) with g^j = h mod p, for a generator g of F_p^*,
+    by Pohlig-Hellman (IEEE Trans. IT 24, 1978): for each prime power q^e
+    of p - 1, the base-q digits of j mod q^e, each found among the powers
+    of an element of order q; then CRT.  At most the sum of e * q over
+    p - 1 = prod q^e products mod p, where a walk through F_p^* takes up
+    to p - 1."""
+    n = p - 1
+    j, m = 0, 1
+    for q, e in factor_integer(n)[1].items():
+        gq = pow(g, n // q, p)  # of order q
+        x = 0
+        for k in range(e):
+            # (h g^-x)^(n / q^(k+1)) = gq^(k-th digit)
+            target = pow(h * pow(g, -x, p), n // q ** (k + 1), p)
+            digit, cur = 0, 1
+            while cur != target:
+                cur = cur * gq % p
+                digit += 1
+            x += digit * q**k
+        qe = q**e
+        j += m * ((x - j) * pow(m, -1, qe) % qe)
+        m *= qe
+    return j
 
 
 def torsion_order(a):

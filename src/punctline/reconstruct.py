@@ -44,6 +44,7 @@ from .fieldarith import (
     QElem,
     QRhoElem,
     _poly_to_text,
+    check_twist,
     elem_from_text,
     elem_to_text,
     frobenius,
@@ -106,6 +107,7 @@ class Scenario:
                 raise ValueError(
                     "nonzero twist needs positive characteristic"
                 )
+            check_twist(self.field, n)
             if not self.maps_onto(g, n, 0):
                 raise ValueError("secret does not map E1 onto E2 along phi")
 
@@ -235,6 +237,7 @@ def generate_scenario(field, size, seed=0, twist=0) -> Scenario:
         raise ValueError("twist must be nonnegative")
     if twist and field.char() == 0:
         raise ValueError("nonzero twist needs positive characteristic")
+    check_twist(field, twist)
     rng = random.Random(seed)
     for _ in range(200):
         e1 = CuspSet(field, _sample_points(rng, field, size))

@@ -13,7 +13,7 @@ from punctline.cli import (
     run_sweep,
 )
 from punctline.crossratio import MobiusMap
-from punctline.fieldarith import FieldDesc
+from punctline.fieldarith import MAX_DEGREE, FieldDesc
 from punctline.groupring import AbelianShape, parse_elem
 from punctline.magnusfox import LaurentElem
 from punctline.reconstruct import (
@@ -299,6 +299,25 @@ def test_kummer_exit_codes(capsys):
     for field in ("Q", "QRho", "FpT:2"):
         code, _, err = run(capsys, "kummer", "--field", field, "--n", "3", "--a", "1/0", "--b", "2")
         assert code == 2 and "'1/0'" in err
+
+
+def test_fpt_degree_bounds_are_usage_errors(tmp_path, capsys):
+    """A text exponent or a twist p^n beyond MAX_DEGREE exits 2 with a
+    message naming the field and the bound, before anything is built."""
+    points = "0,inf,1,t^%d+1" % (MAX_DEGREE + 1)
+    code, _, err = run(capsys, "crossratio", "--field", "FpT:2", "--points", points)
+    assert code == 2 and "FpT:2" in err and str(MAX_DEGREE) in err
+    for field, twist in (("FpT:2", 17), ("FpT:2", 10**30), ("FpT:3", 11)):
+        code, _, err = run(
+            capsys, "generate", "--field", field, "--size", "4", "--twist", str(twist)
+        )
+        assert code == 2 and field in err and str(MAX_DEGREE) in err
+    data = scenario_to_json(generate_scenario(F2T, 4, seed=7, twist=1))
+    data["secret"]["n"] = 17
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "reconstruct", "--input", str(path))
+    assert code == 2 and "FpT:2" in err and str(MAX_DEGREE) in err
 
 
 def test_crossratio_verb(capsys):

@@ -1,0 +1,112 @@
+"""Seeded fuzzing of the command line's F_p(t) inputs: element texts for
+`crossratio` and `kummer`, and generated scenario JSON for `reconstruct`.
+
+Each case applies one mutation (a deleted, duplicated or inserted
+character, a huge exponent, a `/0`, or an unbalanced parenthesis) to a
+valid input and calls `cli.console_main` in-process.  Whatever the
+mutation, the command must answer with exit code 0, 1 or 2: no
+exception may escape.  The valid inputs have one-digit exponents, so a
+mutated text has degree below 100 unless the mutation writes a huge
+exponent, which the degree bound rejects."""
+
+import json
+import random
+
+from punctline import cli
+from punctline.fieldarith import MAX_DEGREE, fpt
+from punctline.reconstruct import generate_scenario, scenario_to_json
+
+PRIMES = (2, 3, 5, 7)
+POOL = (
+    "0", "1", "2", "inf", "t", "t+1", "t^2+t+1", "2*t^3+t", "(t)/(t^2+1)",
+    "(t^3+1)/(t^2+t)", "t^5+t^2+1", "(2*t+1)/(t^4+t)", "-t^2", "t^7+3",
+)
+INSERTS = "t^*+-/()0123456789,. "
+HUGE = (MAX_DEGREE + 1, 10**9, 10**40)
+
+
+def mutate(rng, text):
+    i = rng.randrange(len(text) + 1)
+    kind = rng.randrange(6)
+    if kind == 0 and text:
+        i = min(i, len(text) - 1)
+        return text[:i] + text[i + 1:]
+    if kind == 1 and text:
+        i = min(i, len(text) - 1)
+        return text[:i] + text[i] + text[i:]
+    if kind == 2:
+        return text[:i] + rng.choice(INSERTS) + text[i:]
+    if kind == 3:
+        return text[:i] + "+t^%d" % rng.choice(HUGE) + text[i:]
+    if kind == 4:
+        return text[:i] + "/0" + text[i:]
+    return text[:i] + rng.choice("()") + text[i:]
+
+
+def run_quietly(capsys, argv):
+    code = cli.console_main(argv)
+    capsys.readouterr()
+    return code
+
+
+def test_crossratio_and_kummer_survive_mutated_texts(capsys):
+    rng = random.Random(2024)
+    codes = set()
+    for _ in range(150):
+        p = rng.choice(PRIMES)
+        points = ",".join(rng.sample(POOL, 4))
+        argv = ["crossratio", "--field=FpT:%d" % p, "--points=" + mutate(rng, points)]
+        codes.add(run_quietly(capsys, argv))
+    for _ in range(150):
+        p = rng.choice(PRIMES)
+        a, b = (rng.choice([x for x in POOL if x not in ("0", "inf")]) for _ in "ab")
+        if rng.random() < 0.5:
+            a = mutate(rng, a)
+        else:
+            b = mutate(rng, b)
+        n = rng.choice((2, 3, 4, 5, 6))
+        argv = ["kummer", "--field=FpT:%d" % p, "--n=%d" % n, "--a=" + a, "--b=" + b]
+        codes.add(run_quietly(capsys, argv))
+    assert codes <= {0, 1, 2}
+    assert 2 in codes and codes & {0, 1}
+
+
+def _string_slots(data):
+    """(container, key) for every element text in a scenario."""
+    slots = []
+    for name in ("E1", "E2"):
+        for pt in data[name]:
+            if isinstance(pt, dict):
+                slots.extend((pt, k) for k in ("num", "den"))
+    g = data["secret"]["g"]
+    slots.extend((g, k) for k in g)
+    return slots
+
+
+def test_reconstruct_survives_mutated_scenarios(tmp_path, capsys):
+    """Mutations land in one element text, anywhere in the JSON text, or
+    on the secret twist n."""
+    rng = random.Random(1978)
+    path = tmp_path / "scenario.json"
+    codes = set()
+    for case in range(150):
+        p = rng.choice(PRIMES)
+        # twist 1 only over F_2 and F_3, so exponents stay one digit
+        twist = rng.randint(0, 1) if p <= 3 else 0
+        data = scenario_to_json(
+            generate_scenario(fpt(p), rng.randint(4, 6), seed=case, twist=twist)
+        )
+        where = case % 3
+        if where == 0:
+            holder, key = rng.choice(_string_slots(data))
+            holder[key] = mutate(rng, holder[key])
+            text = json.dumps(data)
+        elif where == 1:
+            text = mutate(rng, json.dumps(data))
+        else:
+            data["secret"]["n"] = rng.choice((-1, 17, 10**30, 1.5, "1", None, True))
+            text = json.dumps(data)
+        path.write_text(text)
+        codes.add(run_quietly(capsys, ["reconstruct", "--input", str(path)]))
+    assert codes <= {0, 1, 2}
+    assert 2 in codes and 0 in codes

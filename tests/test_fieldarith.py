@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from punctline import fppoly
 from punctline.fieldarith import (
+    MAX_DEGREE,
     Q,
     QRHO,
     FieldDesc,
     FpTElem,
     QElem,
     QRhoElem,
+    check_twist,
     elem_from_text,
     elem_to_text,
     factorize,
@@ -245,3 +248,111 @@ def test_text_roundtrip():
 def test_sort_key_orders():
     keys = [QElem(2), QElem(3), QElem(5)]
     assert sorted(keys, key=irreducible_sort_key) == keys
+
+
+def _planted_pair(rng, p):
+    """x and y over F_p(t) with a factor planted in x's numerator and
+    y's denominator and another in both denominators, so that the
+    Henrici and Knuth gcds have something to cancel."""
+
+    def poly(lo, hi):
+        return tuple(rng.randrange(p) for _ in range(rng.randint(lo, hi)))
+
+    def nonzero(lo, hi):
+        while True:
+            f = fppoly.norm(poly(lo, hi), p)
+            if f:
+                return f
+
+    shared, common = nonzero(2, 4), nonzero(2, 4)
+    x = FpTElem(p, fppoly.mul(poly(0, 4), shared, p), fppoly.mul(nonzero(1, 4), common, p))
+    y = FpTElem(p, poly(0, 4), fppoly.mul(fppoly.mul(nonzero(1, 4), shared, p), common, p))
+    return x, y
+
+
+def test_fpt_arithmetic_matches_the_canonicalising_constructor():
+    """Every operation equals FpTElem(p, naive_num, naive_den): the
+    product or sum taken without cancelling, reduced by __init__'s full
+    gcd.  Equality compares the stored tuples, so this also checks that
+    each result is coprime with a monic denominator."""
+    rng = random.Random(1956)
+    mul, add, neg = fppoly.mul, fppoly.add, fppoly.neg
+    cases = 0
+    for _ in range(900):
+        p = rng.choice((2, 3, 5, 7, 101))
+        x, y = _planted_pair(rng, p)
+        if rng.random() < 0.5:
+            x, y = y, x
+        (a, b), (c, d) = (x.num, x.den), (y.num, y.den)
+        assert x * y == FpTElem(p, mul(a, c, p), mul(b, d, p))
+        assert x + y == FpTElem(p, add(mul(a, d, p), mul(c, b, p), p), mul(b, d, p))
+        assert x - y == FpTElem(p, add(mul(a, d, p), neg(mul(c, b, p), p), p), mul(b, d, p))
+        assert -x == FpTElem(p, neg(a, p), b)
+        k = rng.randint(0, 3)
+        assert x**k == FpTElem(p, _poly_pow(a, k, p), _poly_pow(b, k, p))
+        cases += 5
+        if y.num:
+            assert x / y == FpTElem(p, mul(a, d, p), mul(b, c, p))
+            assert y**-k == FpTElem(p, _poly_pow(d, k, p), _poly_pow(c, k, p))
+            cases += 2
+        if x.num:
+            assert x.inverse() == FpTElem(p, b, a)
+            cases += 1
+        zero = x + (-x)
+        assert (zero.num, zero.den) == ((), (1,))
+        cases += 1
+    assert cases >= 5000
+    # a non-monic numerator becomes a monic denominator: (3t+1)/t -> t/(3t+1)
+    x = FpTElem(5, (1, 3), (0, 1))
+    assert (x.inverse().num, x.inverse().den) == ((0, 2), (2, 1))
+    assert x.inverse() == FpTElem(5, (0, 1), (1, 3))
+    for p, n in ((2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (101, 1)):
+        for _ in range(5):
+            x, _ = _planted_pair(rng, p)
+            assert frobenius(x, n) == x ** (p**n)
+
+
+def _poly_pow(f, k, p):
+    out = fppoly.ONE
+    for _ in range(k):
+        out = fppoly.mul(out, f, p)
+    return out
+
+
+def _walk_log(u, gen, order):
+    cur = u.field.one()
+    for j in range(order):
+        if cur == u:
+            return j
+        cur = cur * gen
+    raise AssertionError("not a torsion unit")
+
+
+def test_discrete_log_matches_the_linear_walk():
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        gen, order = torsion_generator(fpt(p))
+        for u in range(1, p):
+            unit = FpTElem(p, (u,))
+            assert torsion_unit_exponent(unit) == _walk_log(unit, gen, order)
+    with pytest.raises(ValueError):
+        torsion_unit_exponent(F5T.t())
+    p = 100003  # p - 1 = 2 * 3 * 7 * 2381
+    gen, order = torsion_generator(fpt(p))
+    g = gen.num[0]
+    rng = random.Random(1978)
+    for j in [0, 1, order - 1] + [rng.randrange(order) for _ in range(40)]:
+        assert torsion_unit_exponent(FpTElem(p, (pow(g, j, p),))) == j
+
+
+def test_degree_bounds():
+    text = "t^%d+1" % MAX_DEGREE
+    assert fppoly.deg(elem_from_text(F2T, text).num) == MAX_DEGREE
+    for bad in ("t^%d" % (MAX_DEGREE + 1), "(1)/(t^%d+t)" % 10**12):
+        with pytest.raises(ValueError, match="degree bound %d of FpT:2" % MAX_DEGREE):
+            elem_from_text(F2T, bad)
+    # p^n <= MAX_DEGREE = 2^16: n <= 16 over F_2, n <= 10 over F_3
+    for field, top in ((F2T, 16), (fpt(3), 10), (fpt(65521), 1)):
+        check_twist(field, top)
+        with pytest.raises(ValueError, match="degree bound %d of %s" % (MAX_DEGREE, field.to_text())):
+            check_twist(field, top + 1)
+    check_twist(Q, 10**30)  # characteristic 0 has its own rejection
