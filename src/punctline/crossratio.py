@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import fppoly
 from .exactalg import is_prime
 from .fieldarith import FieldDesc, frobenius, is_constant
-from .multlattice import cyclic_equal, solve_p_power
+from .multlattice import cyclic_equal
 
 EQUAL = "equal"
 RHO_PAIR = "rho-pair"
@@ -179,10 +179,8 @@ def _check_charp_pair(lam1, lam2):
         raise ValueError("field mismatch")
     if lam1.field.kind != "FpT":
         raise ValueError("function fields only")
-    if lam1.is_zero() or is_constant(lam1):
+    if is_constant(lam1):
         raise ValueError("lam1 must be non-constant")
-    if lam2.is_zero():
-        raise ValueError("lam2 must avoid 0 and 1")
     _check_lambda_domain(lam2)
 
 
@@ -216,29 +214,32 @@ def decide_lambda_char0(lam1, lam2) -> str:
     )
 
 
+def _height(x):
+    return max(fppoly.deg(x.num), fppoly.deg(x.den))
+
+
 def decide_lambda_charp(lam1, lam2):
-    """The unique n with lam2 = lam1^(p^n), or None when the cyclic
-    hypotheses on lam and 1 - lam fail.  lam1 must be non-constant."""
+    """The unique n with lam2 = lam1^(p^n) (for n < 0: lam1 =
+    lam2^(p^-n)), or None.  lam1 must be non-constant.
+
+    Heights decide, where the paper compares the cyclic subgroups of lam
+    and 1 - lam (multlattice.solve_p_power): Frobenius keeps num and den
+    coprime, so it multiplies h(x) = max(deg num, deg den) by p^n, and
+    the equation for 1 - lam follows from the one for lam.
+    """
     _check_charp_pair(lam1, lam2)
-    p = lam1.field.p
-    one = lam1.field.one()
-    u = solve_p_power(lam1, lam2, p)
-    if u is None:
+    h1, h2 = _height(lam1), _height(lam2)
+    if h2 == 0:
+        # a constant is no Frobenius power of the non-constant lam1
         return None
-    if solve_p_power(one - lam1, one - lam2, p) is None:
-        return None
-    # both hypotheses hold, so the positive-sign equation must single
-    # out the twist exponent at the magnitude u
-    if u >= 0:
-        if lam2 == frobenius(lam1, u):
-            return u
-    else:
-        if frobenius(lam2, -u) == lam1:
-            return u
-    raise RuntimeError(
-        "cyclic hypotheses hold but no Frobenius exponent matches: "
-        "%r, %r" % (lam1, lam2)
-    )
+    sign, low, high = (1, lam1, lam2) if h1 <= h2 else (-1, lam2, lam1)
+    n, scaled = 0, min(h1, h2)
+    while scaled < max(h1, h2):
+        scaled *= lam1.field.p
+        n += 1
+    # only this n can match the heights; when scaled overshoots, the
+    # comparison fails on the degrees alone
+    return sign * n if frobenius(low, n) == high else None
 
 
 def power_product_solve(p: int, x1: int, y1: int, bound: int):

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import is_prime
+from .exactalg import is_prime, solve_mod_m
 from .fieldarith import (
     factorize,
     frobenius,
@@ -156,11 +156,9 @@ def kummer_equal(k1: KummerInvariant, k2: KummerInvariant) -> bool:
     t2 = torsion_unit_exponent(ev2.torsion)
 
     def member(vec, tau, base_vec, base_tau):
-        for j in range(n):
-            if all((x - j * y) % n == 0 for x, y in zip(vec, base_vec)) and (
-                tau - j * base_tau
-            ) % g == 0:
-                return True
-        return False
+        # one unknown j mod n with vec = j * base_vec mod n and tau =
+        # j * base_tau mod g; scaling by n/g reads the latter mod n
+        rows = [[y] for y in base_vec] + [[(n // g) * base_tau]]
+        return solve_mod_m(rows, vec + [(n // g) * tau], n) is not None
 
     return member(v2, t2, v1, t1) and member(v1, t1, v2, t2)

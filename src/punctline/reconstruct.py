@@ -278,12 +278,13 @@ def reconstruct_char0(s: Scenario) -> ReconstructionResult:
 def reconstruct_charp(s: Scenario) -> ReconstructionResult:
     """Recover (w1, w2, f) over F_p(t).
 
-    Each extra cusp i yields, through the four-point decision, the
-    unique n_i with lam2_i = lam1_i^(p^n_i).  Equal exponents n_i = n
-    make the two normalizing maps agree after twisting, so the pairing
-    is realizable; the first cusp whose exponent differs from n_3 is
-    rejected.  Twists are (n, 0) for n >= 0, else (0, -n) (no twist for
-    size 3), and f is forced by the twisted base triples.
+    Each extra cusp i yields, through the height test of
+    decide_lambda_charp, the unique n_i with lam2_i = lam1_i^(p^n_i).
+    Equal exponents n_i = n make the two normalizing maps agree after
+    twisting, so the pairing is realizable; the first cusp whose
+    exponent differs from n_3 is rejected.  Twists are (n, 0) for
+    n >= 0, else (0, -n) (no twist for size 3), and f is forced by the
+    twisted base triples.
     """
     if s.field.char() == 0:
         raise ValueError("positive-characteristic scenarios only")

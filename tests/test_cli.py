@@ -293,6 +293,12 @@ def test_kummer_exit_codes(capsys):
     assert code == 1 and out == "different\n"
     code, _, err = run(capsys, "kummer", "--field", "Q", "--n", "4", "--a", "2", "--b", "3")
     assert code == 2
+    # membership is one congruence in j mod n, so a huge n costs no walk
+    for n in (1000001, 2**61 - 1):
+        code, out, _ = run(capsys, "kummer", "--field", "Q", "--n", str(n), "--a", "2", "--b", "3")
+        assert code == 1 and out == "different\n"
+        code, out, _ = run(capsys, "kummer", "--field", "Q", "--n", str(n), "--a", "2", "--b", "8")
+        assert code == 0 and out == "equal\n"
     code, _, err = run(capsys, "kummer", "--field", "QRho", "--n", "3", "--a", "rho5", "--b", "rho")
     assert code == 2 and "'rho5'" in err
     # a zero denominator is a usage error naming the text, not a traceback

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from punctline import fieldarith, multlattice
 from punctline.crossratio import (
     CASE_A,
     CASE_B,
@@ -22,11 +23,21 @@ from punctline.crossratio import (
     star_check,
     twist_point,
 )
-from punctline.fieldarith import Q, QRHO, QElem, frobenius, fpt, is_constant
+from punctline.fieldarith import (
+    Q,
+    QRHO,
+    QElem,
+    factorize,
+    fpt,
+    frobenius,
+    is_constant,
+)
+from punctline.multlattice import solve_p_power
 
 F2T = fpt(2)
 F3T = fpt(3)
 F5T = fpt(5)
+F7T = fpt(7)
 
 
 def q(x):
@@ -212,8 +223,10 @@ def test_decide_lambda_charp_frozen():
     assert decide_lambda_charp(t, t.inverse()) is None
     with pytest.raises(ValueError):
         decide_lambda_charp(F2T.one(), t)
-    with pytest.raises(ValueError):
-        decide_lambda_charp(t, F2T.one())
+    # lam2 = 0 and lam2 = 1 fail the same domain check
+    for lam2 in (F2T.zero(), F2T.one()):
+        with pytest.raises(ValueError, match="lambda must avoid 0 and 1"):
+            decide_lambda_charp(t, lam2)
     with pytest.raises(ValueError):
         decide_lambda_charp(q(2), q(2))
 
@@ -232,6 +245,98 @@ def test_decide_lambda_charp_twist_sweep():
             lam2 = frobenius(lam, n)
             assert decide_lambda_charp(lam, lam2) == n
             assert decide_lambda_charp(lam2, lam) == -n
+
+
+def _kummer_route(lam1, lam2):
+    """The paper's decision, the oracle for decide_lambda_charp: the
+    cyclic subgroups of lam and of 1 - lam must agree up to a p-power,
+    and then the Frobenius equation must hold on the nose."""
+    p = lam1.field.p
+    one = lam1.field.one()
+    u = solve_p_power(lam1, lam2, p)
+    if u is None or solve_p_power(one - lam1, one - lam2, p) is None:
+        return None
+    # both hypotheses hold: the equation follows, so a miss is a defect
+    if u >= 0:
+        assert lam2 == frobenius(lam1, u)
+    else:
+        assert frobenius(lam2, -u) == lam1
+    return u
+
+
+def _height(x):
+    return max(len(x.num), len(x.den)) - 1
+
+
+def _rand_nonconstant(rng, field, degree):
+    t = field.t()
+    while True:
+        num = sum(
+            (field.from_int(rng.randrange(field.p)) * t**i for i in range(degree + 1)),
+            field.zero(),
+        )
+        den = sum(
+            (field.from_int(rng.randrange(field.p)) * t**i for i in range(degree + 1)),
+            field.zero(),
+        )
+        if den.is_zero() or num.is_zero():
+            continue
+        lam = num / den
+        if lam != field.one() and not is_constant(lam):
+            return lam
+
+
+def test_decide_lambda_charp_matches_kummer_route():
+    rng = random.Random(1011)
+    seen = set()
+    for field in (F2T, F3T, F5T, F7T):
+        p, one = field.p, field.one()
+        consts = [field.from_int(c) for c in range(1, p)]
+        for i in range(48):
+            lam = _rand_nonconstant(rng, field, rng.randint(1, 2))
+            n = rng.randint(0, 3 if p == 2 else 2)
+            twisted = frobenius(lam, n)
+            other = _rand_nonconstant(rng, field, _height(lam))
+            cases = [
+                twisted,
+                twisted.inverse(),
+                one - frobenius(one - lam, n),
+                rng.choice(consts) * twisted,
+                frobenius(other, n),
+                other,  # often of equal height: the comparison decides
+            ]
+            if p > 2:
+                cases.append(field.from_int(rng.randrange(2, p)))
+            for lam2 in cases:
+                if lam2.is_zero() or lam2 == one:
+                    continue
+                pairs = [(lam, lam2)]
+                if not is_constant(lam2):
+                    pairs.append((lam2, lam))  # swapped: n <= 0
+                for a, b in pairs:
+                    got = decide_lambda_charp(a, b)
+                    assert got == _kummer_route(a, b), (a, b)
+                    seen.add(None if got is None else (got > 0) - (got < 0))
+    assert seen == {None, -1, 0, 1}
+
+
+def test_decide_lambda_charp_never_factorizes(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return factorize(a)
+
+    monkeypatch.setattr(fieldarith, "factorize", counting)
+    monkeypatch.setattr(multlattice, "factorize", counting)
+    t, one = F5T.t(), F5T.one()
+    lam = (t * t + one) / (t + F5T.from_int(2))
+    assert decide_lambda_charp(lam, frobenius(lam, 2)) == 2
+    assert decide_lambda_charp(frobenius(lam, 1), lam) == -1
+    assert decide_lambda_charp(lam, one - frobenius(one - lam, 1)) == 1
+    assert decide_lambda_charp(lam, lam.inverse()) is None
+    assert decide_lambda_charp(lam, F5T.from_int(3)) is None
+    assert calls == []
 
 
 def test_power_product_solve_frozen():

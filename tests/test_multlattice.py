@@ -195,6 +195,51 @@ def test_kummer_equal_brute_force():
             assert got == want
 
 
+def _kummer_walk(n, field, a, b):
+    """kummer_equal by walking j over Z/n: (vec, tau) lies in the group
+    of (base_vec, base_tau) when vec = j * base_vec mod n and tau =
+    j * base_tau mod gcd(n, w) for some j."""
+    eva, evb = factorize(a), factorize(b)
+    support = set(eva.factors) | set(evb.factors)
+    g = math.gcd(n, torsion_generator(field)[1])
+    va = [eva.factors.get(s, 0) for s in support]
+    vb = [evb.factors.get(s, 0) for s in support]
+    ta = torsion_unit_exponent(eva.torsion)
+    tb = torsion_unit_exponent(evb.torsion)
+
+    def member(vec, tau, base_vec, base_tau):
+        return any(
+            all((x - j * y) % n == 0 for x, y in zip(vec, base_vec))
+            and (tau - j * base_tau) % g == 0
+            for j in range(n)
+        )
+
+    return member(vb, tb, va, ta) and member(va, ta, vb, tb)
+
+
+def test_kummer_equal_matches_the_walk():
+    rng = random.Random(19)
+    outcomes = set()
+    for field in (Q, QRHO, F2T, F5T):
+        for _ in range(150):
+            n = rng.randint(2, 60)
+            if field.kind in ("Q", "QRho") and n % 4 == 0:
+                continue
+            if field.kind == "FpT" and math.gcd(n, field.p) != 1:
+                continue
+            a = _random_elem(rng, field, nontorsion=False)
+            if rng.random() < 0.5:
+                # a power of a times an n-th power: often the same layer
+                c = _random_elem(rng, field, nontorsion=False)
+                b = a ** rng.choice([-5, -3, -1, 1, 2, 3, 7]) * c**n
+            else:
+                b = _random_elem(rng, field, nontorsion=False)
+            got = kummer_equal(KummerInvariant(n, a), KummerInvariant(n, b))
+            assert got == _kummer_walk(n, field, a, b), (n, a, b)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
 def test_cyclic_power_transfer_generated_instances():
     # a and eps * a^u span the same Kummer layers at every n built from
     # odd primes prime to u
