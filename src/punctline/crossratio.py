@@ -237,8 +237,8 @@ def decide_lambda_charp(lam1, lam2):
     while scaled < max(h1, h2):
         scaled *= lam1.field.p
         n += 1
-    # only this n can match the heights; when scaled overshoots, the
-    # comparison fails on the degrees alone
+    if scaled != max(h1, h2):
+        return None
     return sign * n if frobenius(low, n) == high else None
 
 

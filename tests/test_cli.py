@@ -242,6 +242,12 @@ def test_reconstruct_rejection_names_cusp_and_code(tmp_path, capsys):
          {"accepted": False,
           "reason": "cusp 3 admits no Frobenius-twist exponent",
           "cusp": 3, "code": "no-exponent", "exponents": []}),
+        # heights 1 and 2: no exponent, decided without a Frobenius of
+        # p + 1 coefficients
+        ("FpT:%d" % (2**61 - 1), ("0", "inf", "1", "t"), ("0", "inf", "1", "t^2"),
+         {"accepted": False,
+          "reason": "cusp 3 admits no Frobenius-twist exponent",
+          "cusp": 3, "code": "no-exponent", "exponents": []}),
         ("FpT:2", ("0", "inf", "1", "t", "t+1"), ("0", "inf", "1", "t^2", "t+1"),
          {"accepted": False,
           "reason": "cusps 3 and 4 force twist exponents 1 and 0",

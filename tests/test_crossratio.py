@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from punctline import fieldarith, multlattice
+from punctline import crossratio, fieldarith, multlattice
 from punctline.crossratio import (
     CASE_A,
     CASE_B,
@@ -245,6 +245,28 @@ def test_decide_lambda_charp_twist_sweep():
             lam2 = frobenius(lam, n)
             assert decide_lambda_charp(lam, lam2) == n
             assert decide_lambda_charp(lam2, lam) == -n
+
+
+def test_decide_lambda_charp_heights_decide_before_frobenius(monkeypatch):
+    # heights 1 and 2 are no power of p apart for p > 2, so the answer
+    # is None with no Frobenius; at p = 2^61 - 1 a Frobenius of t would
+    # need p + 1 coefficients
+    calls = []
+
+    def counting(a, n):
+        calls.append(n)
+        return frobenius(a, n)
+
+    monkeypatch.setattr(crossratio, "frobenius", counting)
+    for field in (F3T, fpt(2**61 - 1)):
+        t = field.t()
+        assert decide_lambda_charp(t, t * t) is None
+        assert decide_lambda_charp(t * t, t) is None
+    t = F2T.t()
+    assert decide_lambda_charp(t * t, t**3) is None  # 2 * 2 overshoots 3
+    assert calls == []
+    assert decide_lambda_charp(t, t * t) == 1
+    assert calls == [1]
 
 
 def _kummer_route(lam1, lam2):
