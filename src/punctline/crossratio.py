@@ -1,15 +1,17 @@
 """Projective-line geometry over the supported exact fields.
 
 Points are homogeneous pairs, cross-ratios are computed with 2x2
-brackets (so the point at infinity needs no special casing), and the
-decision procedures answer the central question of the reconstruction
-pipeline: when do two cross-ratios generate the same arithmetic data?
+brackets (so no cross-ratio or map formula special-cases the point at
+infinity), and the decision procedures answer the central question of
+the reconstruction pipeline: when do two cross-ratios generate the same
+arithmetic data?
 In characteristic zero the answer is near-rigidity (equality up to one
 exceptional unit pair); in characteristic p it is rigidity up to a
 power of Frobenius.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,8 +70,16 @@ def _check_distinct(pts, message):
 
 
 def bracket(x: ProjPoint, y: ProjPoint):
-    """[x, y] = a_x b_y - a_y b_x; zero exactly when x = y."""
-    return x.a * y.b - y.a * x.b
+    """[x, y] = a_x b_y - a_y b_x; zero exactly when x = y.
+
+    Canonical coordinates make every product trivial: each point has
+    b = 1, or b = 0 with a = 1 (infinity).  With infinity on either
+    side the a-coordinates multiply only the other point's b, so the
+    bracket is b_y - b_x; otherwise both b are 1 and it is a_x - a_y.
+    """
+    if x.b.is_zero() or y.b.is_zero():
+        return y.b - x.b
+    return x.a - y.a
 
 
 @dataclass(frozen=True)
@@ -152,13 +162,18 @@ def _collineation(p1, p2, p3):
 
 
 def mobius_from_triples(p1, p2, p3, q1, q2, q3) -> MobiusMap:
-    """The unique map with p_i -> q_i, via the standard maps of both
-    triples onto (0, infinity, 1)."""
+    """The unique map with p_i -> q_i: S_q^-1 S_p, with S_p and S_q the
+    standard maps of both triples onto (0, infinity, 1).
+
+    A Möbius map is a matrix up to scalars, so adj(S_q) S_p, taken from
+    the raw collineation matrices, stands for S_q^-1 S_p and is
+    normalised once.
+    """
     _check_distinct((p1, p2, p3), "degenerate source triple")
     _check_distinct((q1, q2, q3), "degenerate target triple")
-    sp = MobiusMap(*_collineation(p1, p2, p3))
-    sq = MobiusMap(*_collineation(q1, q2, q3))
-    return sq.inverse().compose(sp)
+    a, b, c, d = _collineation(p1, p2, p3)
+    e, f, g, h = _collineation(q1, q2, q3)
+    return MobiusMap(h * a - f * c, h * b - f * d, e * c - g * a, e * d - g * b)
 
 
 def twist_point(pt: ProjPoint, n: int) -> ProjPoint:
@@ -242,12 +257,24 @@ def decide_lambda_charp(lam1, lam2):
     return sign * n if frobenius(low, n) == high else None
 
 
+def _p_exponent(r: Fraction, p: int, bound: int):
+    """The k with r = p^k and 0 < |k| <= bound, or None."""
+    if r <= 0 or 1 not in (r.numerator, r.denominator):
+        return None
+    m = max(r.numerator, r.denominator)
+    k = round(math.log(m, p))
+    if not 0 < k <= bound or p**k != m:
+        return None
+    return k if r.denominator == 1 else -k
+
+
 def power_product_solve(p: int, x1: int, y1: int, bound: int):
     """All nonzero integer pairs (x2, y2) in the bound-box with
     (p^x1 - 1)(p^y1 - 1) = (p^x2 - 1)(p^y2 - 1) in Q.
 
     The product determines the pair up to order, so the result is
-    {(x1, y1), (y1, x1)} clipped to the box.
+    {(x1, y1), (y1, x1)} clipped to the box.  The search stays
+    exhaustive in O(bound): each x2 fixes p^y2 = target / (p^x2 - 1) + 1.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -260,11 +287,9 @@ def power_product_solve(p: int, x1: int, y1: int, bound: int):
     for x2 in range(-bound, bound + 1):
         if x2 == 0:
             continue
-        for y2 in range(-bound, bound + 1):
-            if y2 == 0:
-                continue
-            if (Fraction(p) ** x2 - 1) * (Fraction(p) ** y2 - 1) == target:
-                out.add((x2, y2))
+        y2 = _p_exponent(target / (Fraction(p) ** x2 - 1) + 1, p, bound)
+        if y2 is not None:
+            out.add((x2, y2))
     return out
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import is_prime, solve_mod_m
+from .exactalg import is_prime
 from .fieldarith import (
     factorize,
     frobenius,
@@ -116,6 +116,26 @@ def solve_p_power(a, b, p: int):
     return None
 
 
+def _solvable_in_one_unknown(congruences):
+    """Whether one integer j meets j * y = x (mod m) for every (x, y, m):
+    each congruence reduces by d = gcd(y, m) to one class mod m / d, and
+    the classes join by gcd-based CRT, so no modulus is factored."""
+    r, mod = 0, 1
+    for x, y, m in congruences:
+        d = math.gcd(y, m)
+        if x % d:
+            return False
+        m //= d
+        c = x // d * pow(y // d, -1, m) % m
+        # join j = r (mod mod) with j = c (mod m)
+        e = math.gcd(mod, m)
+        if (c - r) % e:
+            return False
+        step = (c - r) // e * pow(mod // e, -1, m // e) % (m // e)
+        r, mod = r + mod * step, mod * (m // e)
+    return True
+
+
 def _joint_support(evs):
     sup = set()
     for ev in evs:
@@ -157,8 +177,8 @@ def kummer_equal(k1: KummerInvariant, k2: KummerInvariant) -> bool:
 
     def member(vec, tau, base_vec, base_tau):
         # one unknown j mod n with vec = j * base_vec mod n and tau =
-        # j * base_tau mod g; scaling by n/g reads the latter mod n
-        rows = [[y] for y in base_vec] + [[(n // g) * base_tau]]
-        return solve_mod_m(rows, vec + [(n // g) * tau], n) is not None
+        # j * base_tau mod g
+        congruences = [(x, y, n) for x, y in zip(vec, base_vec)]
+        return _solvable_in_one_unknown(congruences + [(tau, base_tau, g)])
 
     return member(v2, t2, v1, t1) and member(v1, t1, v2, t2)

@@ -299,8 +299,9 @@ def test_kummer_exit_codes(capsys):
     assert code == 1 and out == "different\n"
     code, _, err = run(capsys, "kummer", "--field", "Q", "--n", "4", "--a", "2", "--b", "3")
     assert code == 2
-    # membership is one congruence in j mod n, so a huge n costs no walk
-    for n in (1000001, 2**61 - 1):
+    # membership is solved by gcds in one unknown j mod n, so a huge n
+    # costs no walk and no factorisation, even with two large prime factors
+    for n in (1000001, 2**61 - 1, (2**61 - 1) * (2**89 - 1)):
         code, out, _ = run(capsys, "kummer", "--field", "Q", "--n", str(n), "--a", "2", "--b", "3")
         assert code == 1 and out == "different\n"
         code, out, _ = run(capsys, "kummer", "--field", "Q", "--n", str(n), "--a", "2", "--b", "8")
@@ -348,6 +349,10 @@ def test_power_products_verb(capsys):
     code, out, _ = run(capsys, "power-products", "--p", "3", "--x", "1", "--y", "3")
     assert code == 0
     assert out.splitlines() == ["(1, 3)", "(3, 1)"]
+    # each x2 fixes y2, so a bound in the thousands stays a linear search
+    code, out, _ = run(capsys, "power-products", "--p", "3", "--x", "2", "--y", "5", "--bound", "4000")
+    assert code == 0
+    assert out.splitlines() == ["(2, 5)", "(5, 2)"]
 
 
 def test_star_check_verb(capsys):

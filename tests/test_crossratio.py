@@ -154,6 +154,28 @@ def test_mobius_group_law_and_invariance():
             assert twisted == lam
 
 
+def test_mobius_from_triples_and_bracket_match_products():
+    """Oracles: the forced map is S_q^-1 S_p built from MobiusMaps, and
+    a bracket is the full product a_x b_y - a_y b_x."""
+    rng = random.Random(12)
+    for field in (Q, QRHO, F2T, F3T, F5T, F7T):
+        pool = _point_pool(field)
+        infty = pool[0]
+        for x, y in itertools.product(pool, repeat=2):
+            assert crossratio.bracket(x, y) == x.a * y.b - y.a * x.b
+        for trial in range(120):
+            src = rng.sample(pool, 3)
+            dst = rng.sample(pool, 3)
+            # put infinity in the source, the target, both or neither
+            if trial % 4 in (1, 3) and infty not in src:
+                src[rng.randrange(3)] = infty
+            if trial % 4 in (2, 3) and infty not in dst:
+                dst[rng.randrange(3)] = infty
+            sp = MobiusMap(*crossratio._collineation(*src))
+            sq = MobiusMap(*crossratio._collineation(*dst))
+            assert mobius_from_triples(*src, *dst) == sq.inverse().compose(sp)
+
+
 def test_frobenius_equivariance():
     rng = random.Random(21)
     for field in (F2T, F5T):
@@ -382,6 +404,27 @@ def test_power_product_solve_small_box():
                     continue
                 want = {(x1, y1), (y1, x1)}
                 assert power_product_solve(p, x1, y1, 3) == want
+
+
+def _power_product_walk(p, x1, y1, bound):
+    """power_product_solve by trying all (2 bound + 1)^2 pairs."""
+    target = (Fraction(p) ** x1 - 1) * (Fraction(p) ** y1 - 1)
+    box = [e for e in range(-bound, bound + 1) if e]
+    return {
+        (x2, y2)
+        for x2 in box
+        for y2 in box
+        if (Fraction(p) ** x2 - 1) * (Fraction(p) ** y2 - 1) == target
+    }
+
+
+def test_power_product_solve_matches_the_walk():
+    exps = [e for e in range(-6, 7) if e]
+    for p in (2, 3, 5, 7):
+        for x1, y1 in itertools.product(exps, repeat=2):
+            for bound in (1, 2, 5, 8):
+                want = _power_product_walk(p, x1, y1, bound)
+                assert power_product_solve(p, x1, y1, bound) == want, (p, x1, y1, bound)
 
 
 def test_exponent_case_decide_frozen():
