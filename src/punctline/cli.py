@@ -46,6 +46,7 @@ from .freegroup import (
     word_text,
 )
 from .groupring import (
+    MAX_ORDER,
     AbelianShape,
     GroupRingElem,
     annihilator_basis,
@@ -641,6 +642,11 @@ def _cmd_fox(args) -> int:
 def _cmd_groupring(args) -> int:
     moduli = tuple(int(m) for m in args.moduli.split(","))
     shape = AbelianShape(moduli)
+    if shape.order() > MAX_ORDER:
+        raise ValueError(
+            "--moduli %s: the group order %d exceeds the bound %d"
+            % (args.moduli, shape.order(), MAX_ORDER)
+        )
     a = parse_elem(shape, args.mod, args.elem)
     basis = annihilator_basis(shape, args.mod, a)
     payload = {

@@ -8,6 +8,11 @@ arithmetic data?
 In characteristic zero the answer is near-rigidity (equality up to one
 exceptional unit pair); in characteristic p it is rigidity up to a
 power of Frobenius.
+
+Over Q and Q(rho) brackets are field elements.  Over F_p(t) the cross
+ratio, the forced map and the star check take their brackets in F_p[t]
+instead, on the coprime pair (num, den) that each affine point already
+stores ([1 : 0] for infinity), and reduce once at the end.
 """
 
 import itertools
@@ -17,7 +22,7 @@ from fractions import Fraction
 
 from . import fppoly
 from .exactalg import is_prime
-from .fieldarith import FieldDesc, frobenius, is_constant
+from .fieldarith import FieldDesc, FpTElem, frobenius, is_constant
 from .multlattice import cyclic_equal
 
 EQUAL = "equal"
@@ -70,7 +75,8 @@ def _check_distinct(pts, message):
 
 
 def bracket(x: ProjPoint, y: ProjPoint):
-    """[x, y] = a_x b_y - a_y b_x; zero exactly when x = y.
+    """[x, y] = a_x b_y - a_y b_x in the field; zero exactly when x = y.
+    The bracket of Q and Q(rho); F_p(t) points use _poly_bracket.
 
     Canonical coordinates make every product trivial: each point has
     b = 1, or b = 0 with a = 1 (infinity).  With infinity on either
@@ -80,6 +86,20 @@ def bracket(x: ProjPoint, y: ProjPoint):
     if x.b.is_zero() or y.b.is_zero():
         return y.b - x.b
     return x.a - y.a
+
+
+def _poly_coordinates(x: ProjPoint):
+    """Homogeneous coordinates of an F_p(t) point in F_p[t]: [num : den]
+    for the affine point num/den, [1 : 0] for infinity."""
+    if x.b.is_zero():
+        return fppoly.ONE, fppoly.ZERO
+    return x.a.num, x.a.den
+
+
+def _poly_bracket(x, y, p):
+    """n_x d_y - n_y d_x for polynomial coordinates x = (n_x, d_x) and
+    y = (n_y, d_y): the field bracket times d_x d_y, with no gcd."""
+    return fppoly.sub(fppoly.mul(x[0], y[1], p), fppoly.mul(y[0], x[1], p), p)
 
 
 @dataclass(frozen=True)
@@ -104,8 +124,19 @@ class CuspSet:
 
 def cross_ratio(x1: ProjPoint, x2: ProjPoint, x3: ProjPoint, x4: ProjPoint):
     """[x4,x1][x3,x2] / ([x4,x2][x3,x1]), never in {0, 1, infinity} for
-    distinct points."""
+    distinct points.
+
+    Each point occurs once above and once below, so rescaling its
+    coordinates leaves the quotient alone: over F_p(t) the brackets are
+    taken on polynomial coordinates and the quotient is reduced once.
+    """
     _check_distinct((x1, x2, x3, x4), "cross-ratio needs pairwise-distinct points")
+    if x1.field.kind == "FpT":
+        p = x1.field.p
+        c1, c2, c3, c4 = map(_poly_coordinates, (x1, x2, x3, x4))
+        num = fppoly.mul(_poly_bracket(c4, c1, p), _poly_bracket(c3, c2, p), p)
+        den = fppoly.mul(_poly_bracket(c4, c2, p), _poly_bracket(c3, c1, p), p)
+        return FpTElem(p, num, den)
     num = bracket(x4, x1) * bracket(x3, x2)
     den = bracket(x4, x2) * bracket(x3, x1)
     return num / den
@@ -161,27 +192,69 @@ def _collineation(p1, p2, p3):
     return (k1 * p1.b, -(k1 * p1.a), k2 * p2.b, -(k2 * p2.a))
 
 
+def _poly_collineation(c1, c2, c3, p):
+    # _collineation on polynomial coordinates: the same matrix up to a
+    # nonzero scalar of F_p(t)
+    k1 = _poly_bracket(c3, c2, p)
+    k2 = _poly_bracket(c3, c1, p)
+    return (
+        fppoly.mul(k1, c1[1], p),
+        fppoly.neg(fppoly.mul(k1, c1[0], p), p),
+        fppoly.mul(k2, c2[1], p),
+        fppoly.neg(fppoly.mul(k2, c2[0], p), p),
+    )
+
+
 def mobius_from_triples(p1, p2, p3, q1, q2, q3) -> MobiusMap:
     """The unique map with p_i -> q_i: S_q^-1 S_p, with S_p and S_q the
     standard maps of both triples onto (0, infinity, 1).
 
     A Möbius map is a matrix up to scalars, so adj(S_q) S_p, taken from
     the raw collineation matrices, stands for S_q^-1 S_p and is
-    normalised once.
+    normalised once.  Over F_p(t) the collineations are taken on
+    polynomial coordinates, so the product lies in F_p[t]; its four
+    entries are divided by their common gcd before the normalisation.
     """
     _check_distinct((p1, p2, p3), "degenerate source triple")
     _check_distinct((q1, q2, q3), "degenerate target triple")
-    a, b, c, d = _collineation(p1, p2, p3)
-    e, f, g, h = _collineation(q1, q2, q3)
-    return MobiusMap(h * a - f * c, h * b - f * d, e * c - g * a, e * d - g * b)
+    field = p1.field
+    if field.kind != "FpT":
+        a, b, c, d = _collineation(p1, p2, p3)
+        e, f, g, h = _collineation(q1, q2, q3)
+        return MobiusMap(h * a - f * c, h * b - f * d, e * c - g * a, e * d - g * b)
+    p = field.p
+    mul, sub = fppoly.mul, fppoly.sub
+    a, b, c, d = _poly_collineation(*map(_poly_coordinates, (p1, p2, p3)), p)
+    e, f, g, h = _poly_collineation(*map(_poly_coordinates, (q1, q2, q3)), p)
+    entries = (
+        sub(mul(h, a, p), mul(f, c, p), p),
+        sub(mul(h, b, p), mul(f, d, p), p),
+        sub(mul(e, c, p), mul(g, a, p), p),
+        sub(mul(e, d, p), mul(g, b, p), p),
+    )
+    common = fppoly.ZERO
+    for entry in entries:
+        common = fppoly.gcd(entry, common, p)
+        if common == fppoly.ONE:
+            break
+    if common != fppoly.ONE:
+        entries = (fppoly.divmod_poly(x, common, p)[0] for x in entries)
+    return MobiusMap(*(FpTElem(p, x) for x in entries))
 
 
 def twist_point(pt: ProjPoint, n: int) -> ProjPoint:
     """Raise both homogeneous coordinates to the p^n power; n = 0 returns
-    pt unchanged over every field."""
+    pt unchanged over every field.
+
+    Frobenius fixes b in {0, 1} and keeps [a : 1] and [1 : 0]
+    canonical, so the result is stored without ProjPoint's division.
+    """
     if n == 0:
         return pt
-    return ProjPoint(frobenius(pt.a, n), frobenius(pt.b, n))
+    out = object.__new__(ProjPoint)
+    object.__setattr__(out, "a", frobenius(pt.a, n))
+    object.__setattr__(out, "b", pt.b)
+    return out
 
 
 def _check_lambda_domain(lam):
@@ -347,10 +420,13 @@ def star_check(e: CuspSet) -> bool:
     B[k][i] = [x_k, x_i], cross_ratio(x_i, x_j, x_k, x_l) = y_l / y_k
     where y_k = B[k][i] / B[k][j], so it is constant exactly when y_k
     and y_l differ by a factor in F_p^*: the four points lie on one
-    F_p-rational subline.  Each y is in lowest terms with a monic
-    denominator, so (monic numerator, denominator) keys its F_p^* class
-    and each pair (i, j) looks for a repeated key among k > j:
-    C(n, 2) brackets and C(n, 3) divisions.
+    F_p-rational subline.  The brackets are taken in F_p[t] on
+    polynomial coordinates; rescaling those multiplies every y_k of a
+    fixed (i, j) by one factor, which leaves the collisions alone.  With
+    u = B[k][i], v = B[k][j] and g = gcd(u, v), the pair
+    (monic(u/g), monic(v/g)) keys the F_p^* class of y_k, and each pair
+    (i, j) looks for a repeated key among k > j: C(n, 2) brackets and
+    C(n, 3) gcds.
     """
     if e.field.kind != "FpT":
         raise ValueError("the non-isotriviality check lives over function fields")
@@ -358,14 +434,18 @@ def star_check(e: CuspSet) -> bool:
     if p == 2:
         # F_2 minus {0, 1} is empty: no cross-ratio can be constant
         return True
-    pts = e.points
-    b = [[bracket(x, y) for y in pts[:k]] for k, x in enumerate(pts)]
+    pts = [_poly_coordinates(x) for x in e.points]
+    b = [[_poly_bracket(x, y, p) for y in pts[:k]] for k, x in enumerate(pts)]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             keys = set()
             for row in b[j + 1:]:
-                y = row[i] / row[j]
-                key = (fppoly.monic(y.num, p), y.den)
+                u, v = row[i], row[j]
+                g = fppoly.gcd(u, v, p)
+                if g != fppoly.ONE:
+                    u = fppoly.divmod_poly(u, g, p)[0]
+                    v = fppoly.divmod_poly(v, g, p)[0]
+                key = (fppoly.monic(u, p), fppoly.monic(v, p))
                 if key in keys:
                     return False
                 keys.add(key)

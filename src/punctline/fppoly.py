@@ -26,8 +26,12 @@ def deg(f):
 
 
 def add(f, g, p):
-    n = max(len(f), len(g))
-    return norm([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)], p)
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] += c
+    return norm(out, p)
 
 
 def neg(f, p):
@@ -35,7 +39,11 @@ def neg(f, p):
 
 
 def sub(f, g, p):
-    return add(f, neg(g, p), p)
+    out = list(f)
+    out.extend([0] * (len(g) - len(f)))
+    for i, c in enumerate(g):
+        out[i] -= c
+    return norm(out, p)
 
 
 def scale(f, c, p):
@@ -46,26 +54,33 @@ def mul(f, g, p):
     if not f or not g:
         return ZERO
     out = [0] * (len(f) + len(g) - 1)
+    terms = [(j, b) for j, b in enumerate(g) if b]
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
+            for j, b in terms:
                 out[i + j] += a * b
     return norm(out, p)
 
 
 def divmod_poly(f, g, p):
+    """(quotient, remainder) of f by g.  Each step clears the top
+    coefficient of the running remainder, which is never read again, so
+    it subtracts only g's nonzero lower terms: twisted coordinates are
+    sparse."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     f = list(f)
-    q = [0] * max(0, len(f) - len(g) + 1)
+    n = len(g) - 1
+    q = [0] * max(0, len(f) - n)
     inv_lead = pow(g[-1], -1, p)
+    lower = [(j, b) for j, b in enumerate(g[:n]) if b]
     for i in range(len(f) - len(g), -1, -1):
-        c = (f[i + len(g) - 1] * inv_lead) % p
+        c = (f[i + n] * inv_lead) % p
         if c:
             q[i] = c
-            for j, b in enumerate(g):
+            for j, b in lower:
                 f[i + j] = (f[i + j] - c * b) % p
-    return norm(q, p), norm(f, p)
+    return norm(q, p), norm(f[:n], p)
 
 
 def mod(f, g, p):

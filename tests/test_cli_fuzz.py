@@ -1,5 +1,6 @@
 """Seeded fuzzing of the command line's F_p(t) inputs: element texts for
-`crossratio` and `kummer`, and generated scenario JSON for `reconstruct`.
+`crossratio` and `kummer`, and generated scenario JSON for `reconstruct`;
+then the exit codes of the bound on `groupring --moduli`.
 
 Each case applies one mutation (a deleted, duplicated or inserted
 character, a huge exponent, a `/0`, or an unbalanced parenthesis) to a
@@ -12,8 +13,11 @@ exponent, which the degree bound rejects."""
 import json
 import random
 
+import pytest
+
 from punctline import cli
 from punctline.fieldarith import MAX_DEGREE, fpt
+from punctline.groupring import MAX_ORDER
 from punctline.reconstruct import generate_scenario, scenario_to_json
 
 PRIMES = (2, 3, 5, 7)
@@ -110,3 +114,23 @@ def test_reconstruct_survives_mutated_scenarios(tmp_path, capsys):
         codes.add(run_quietly(capsys, ["reconstruct", "--input", str(path)]))
     assert codes <= {0, 1, 2}
     assert 2 in codes and 0 in codes
+
+
+def test_groupring_moduli_bound_exit_codes(capsys, monkeypatch):
+    """|A| up to MAX_ORDER is answered; beyond it the verb exits 2
+    naming --moduli before any matrix exists."""
+    assert MAX_ORDER == 1024
+    for moduli in ("1024", "32,32"):
+        argv = ["groupring", "--moduli", moduli, "--mod", "6", "--elem", "x^3-1"]
+        assert run_quietly(capsys, argv) == 0, moduli
+
+    def no_matrix(*args):
+        pytest.fail("an over-bound order reached annihilator_basis")
+
+    # with the bound gone, these would ask for up to 10^60 entries
+    monkeypatch.setattr(cli, "annihilator_basis", no_matrix)
+    for moduli in ("1025", "2,513", "32,33", "100000", "10,10,10,10", str(10**30)):
+        argv = ["groupring", "--moduli", moduli, "--mod", "6", "--elem", "x^3-1"]
+        assert cli.console_main(argv) == 2, moduli
+        err = capsys.readouterr().err
+        assert "--moduli %s" % moduli in err and "exceeds the bound 1024" in err

@@ -499,3 +499,97 @@ def test_star_check_nonconstancy_matches_direct_computation():
             with_infinity += inf(field) in pts
     assert failing >= 100
     assert with_infinity >= 100
+
+
+def _field_cross_ratio(x1, x2, x3, x4):
+    """The cross ratio from field brackets: the oracle for the polynomial
+    brackets cross_ratio takes over F_p(t)."""
+    b = crossratio.bracket
+    return (b(x4, x1) * b(x3, x2)) / (b(x4, x2) * b(x3, x1))
+
+
+# the least n with p^n >= 100, so twisted points have degree >= 100
+_DEEP_TWIST = {2: 7, 3: 5, 5: 3, 7: 3}
+
+
+def _deep_lines(rng, field):
+    """Three F_p-sublines through infinity (the constants, t + c and
+    t^q + c with q = p^n >= 100), and the n-th twists of random points
+    of height 1 or 2, which have degree >= 100."""
+    p, t = field.p, field.t()
+    n = _DEEP_TWIST[p]
+    consts = [field.from_int(c) for c in range(p)]
+    lines = [
+        [inf(field)] + [ProjPoint.affine(v + c) for c in consts]
+        for v in (field.zero(), t, t ** (p**n))
+    ]
+    twisted = set()
+    while len(twisted) < 6:
+        lam = _rand_nonconstant(rng, field, rng.randint(1, 2))
+        twisted.add(twist_point(ProjPoint.affine(lam), n))
+    return lines, sorted(twisted, key=repr)
+
+
+def _deep_pool(rng, field):
+    lines, twisted = _deep_lines(rng, field)
+    return list(dict.fromkeys(sum(lines, []) + twisted))
+
+
+def test_twist_point_equals_the_normalising_constructor():
+    rng = random.Random(1341)
+    for field in (F2T, F3T, F5T, F7T):
+        pool = _deep_pool(rng, field) + _point_pool(field)
+        for x in pool:
+            for n in range(4):
+                got = twist_point(x, n)
+                want = ProjPoint(frobenius(x.a, n), frobenius(x.b, n))
+                assert (got.a, got.b) == (want.a, want.b)
+                assert got == want and hash(got) == hash(want)
+
+
+def test_charp_cross_ratio_and_forced_map_match_field_formulas():
+    """Over F_2..F_7(t), on pools with infinity, constants and twisted
+    points of degree >= 100: cross_ratio equals the field-bracket
+    formula, and mobius_from_triples equals S_q^-1 S_p built from
+    MobiusMaps of the field collineations."""
+    rng = random.Random(2718)
+    deep = 0
+    for field in (F2T, F3T, F5T, F7T):
+        pool = _deep_pool(rng, field)
+        infty = pool[0]
+        for trial in range(15):
+            quad = rng.sample(pool, 4)
+            assert cross_ratio(*quad) == _field_cross_ratio(*quad)
+            src, dst = rng.sample(pool, 3), rng.sample(pool, 3)
+            if trial % 3 == 0 and infty not in dst:
+                dst[rng.randrange(3)] = infty
+            sp = MobiusMap(*crossratio._collineation(*src))
+            sq = MobiusMap(*crossratio._collineation(*dst))
+            assert mobius_from_triples(*src, *dst) == sq.inverse().compose(sp)
+            deep += any(_height(x.a) >= 100 for x in quad + src + dst)
+    assert deep >= 45
+
+
+def test_star_check_on_deep_twists_matches_direct_computation():
+    # the C(n, 4) field-bracket cross ratios are the oracle; points are
+    # drawn partly from one F_p-subline, so some 4-sets lie on it
+    rng = random.Random(3141)
+    failing = passing = 0
+    for field in (F2T, F3T, F5T, F7T):
+        lines, twisted = _deep_lines(rng, field)
+        pool = list(dict.fromkeys(sum(lines, []) + twisted))
+        for _ in range(12):
+            line = rng.choice(lines)
+            pts = rng.sample(line, rng.randint(2, min(4, len(line))))
+            pts += [x for x in rng.sample(pool, 4) if x not in pts][:rng.randint(1, 3)]
+            if len(pts) < 4:
+                pts.append(next(x for x in twisted if x not in pts))
+            rng.shuffle(pts)
+            want = not any(
+                is_constant(_field_cross_ratio(*quad))
+                for quad in itertools.combinations(pts, 4)
+            )
+            assert star_check(CuspSet(field, tuple(pts))) == want
+            failing += not want
+            passing += want
+    assert failing >= 10 and passing >= 10

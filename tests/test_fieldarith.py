@@ -356,3 +356,46 @@ def test_degree_bounds():
         with pytest.raises(ValueError, match="degree bound %d of %s" % (MAX_DEGREE, field.to_text())):
             check_twist(field, top + 1)
     check_twist(Q, 10**30)  # characteristic 0 has its own rejection
+
+
+def _schoolbook_divmod(f, g, p):
+    """Long division that subtracts every term of g at every step: the
+    oracle for fppoly.divmod_poly."""
+    f = list(f)
+    q = [0] * max(0, len(f) - len(g) + 1)
+    inv_lead = pow(g[-1], -1, p)
+    for i in range(len(f) - len(g), -1, -1):
+        c = f[i + len(g) - 1] * inv_lead % p
+        q[i] = c
+        for j, b in enumerate(g):
+            f[i + j] = (f[i + j] - c * b) % p
+    return fppoly.norm(q, p), fppoly.norm(f, p)
+
+
+def _rand_poly(rng, p, length, density):
+    """A polynomial of exactly the given length (0 is the zero
+    polynomial) whose lower coefficients are nonzero with the given
+    probability."""
+    if not length:
+        return fppoly.ZERO
+    low = [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(length - 1)]
+    return tuple(low) + (rng.randrange(1, p),)
+
+
+def test_divmod_poly_matches_schoolbook_division():
+    rng = random.Random(4514)
+    shapes = {"sparse": 0, "dense": 0, "short": 0}
+    for p in (2, 3, 5, 7, 2**61 - 1):
+        for _ in range(60):
+            density = rng.choice((0.03, 0.07, 0.5, 1.0))
+            g = _rand_poly(rng, p, rng.randint(1, 150), density)
+            f = _rand_poly(rng, p, rng.randint(0, 300), density)
+            q, r = fppoly.divmod_poly(f, g, p)
+            assert (q, r) == _schoolbook_divmod(f, g, p), (p, f, g)
+            assert fppoly.add(fppoly.mul(q, g, p), r, p) == f
+            assert len(r) < len(g)
+            shapes["sparse" if density < 0.1 else "dense"] += 1
+            shapes["short"] += len(f) < len(g)
+    assert min(shapes.values()) >= 30
+    with pytest.raises(ZeroDivisionError):
+        fppoly.divmod_poly((1, 1), fppoly.ZERO, 5)
