@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .crossratio import (
+    MAX_POWER_BITS,
     CuspSet,
     EQUAL,
     ProjPoint,
@@ -46,6 +47,7 @@ from .freegroup import (
     word_text,
 )
 from .groupring import (
+    MAX_MODULUS,
     MAX_ORDER,
     AbelianShape,
     GroupRingElem,
@@ -647,6 +649,8 @@ def _cmd_groupring(args) -> int:
             "--moduli %s: the group order %d exceeds the bound %d"
             % (args.moduli, shape.order(), MAX_ORDER)
         )
+    if args.mod > MAX_MODULUS:
+        raise ValueError("--mod %d exceeds the bound %d" % (args.mod, MAX_MODULUS))
     a = parse_elem(shape, args.mod, args.elem)
     basis = annihilator_basis(shape, args.mod, a)
     payload = {
@@ -682,6 +686,10 @@ def _cmd_crossratio(args) -> int:
 
 
 def _cmd_power_products(args) -> int:
+    if args.bound * args.p.bit_length() > MAX_POWER_BITS:
+        raise ValueError(
+            "--bound %d: p^bound may exceed %d bits" % (args.bound, MAX_POWER_BITS)
+        )
     solutions = sorted(power_product_solve(args.p, args.x, args.y, args.bound))
     payload = {"solutions": [list(s) for s in solutions]}
     lines = ["(%d, %d)" % s for s in solutions]

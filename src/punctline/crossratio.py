@@ -5,9 +5,9 @@ brackets (so no cross-ratio or map formula special-cases the point at
 infinity), and the decision procedures answer the central question of
 the reconstruction pipeline: when do two cross-ratios generate the same
 arithmetic data?
-In characteristic zero the answer is near-rigidity (equality up to one
-exceptional unit pair); in characteristic p it is rigidity up to a
-power of Frobenius.
+In characteristic zero the answer is near-rigidity: <lam> and <1-lam>
+agree exactly when lam1 = lam2 or {lam1, lam2} = {rho, 1/rho}; in
+characteristic p it is rigidity up to a power of Frobenius.
 
 Over Q and Q(rho) brackets are field elements.  Over F_p(t) the cross
 ratio, the forced map and the star check take their brackets in F_p[t]
@@ -23,7 +23,6 @@ from fractions import Fraction
 from . import fppoly
 from .exactalg import is_prime
 from .fieldarith import FieldDesc, FpTElem, frobenius, is_constant
-from .multlattice import cyclic_equal
 
 EQUAL = "equal"
 RHO_PAIR = "rho-pair"
@@ -44,12 +43,13 @@ class ProjPoint:
         a, b = self.a, self.b
         if a.field != b.field:
             raise ValueError("homogeneous coordinates from different fields")
+        one = b.field.one()
         if b.is_zero():
             if a.is_zero():
                 raise ValueError("[0 : 0] is not a projective point")
-            a, b = a.field.one(), b
-        else:
-            a, b = a / b, b.field.one()
+            a = one
+        elif b != one:
+            a, b = a / b, one
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -246,15 +246,11 @@ def twist_point(pt: ProjPoint, n: int) -> ProjPoint:
     """Raise both homogeneous coordinates to the p^n power; n = 0 returns
     pt unchanged over every field.
 
-    Frobenius fixes b in {0, 1} and keeps [a : 1] and [1 : 0]
-    canonical, so the result is stored without ProjPoint's division.
+    Frobenius fixes b in {0, 1}, so ProjPoint makes no division.
     """
     if n == 0:
         return pt
-    out = object.__new__(ProjPoint)
-    object.__setattr__(out, "a", frobenius(pt.a, n))
-    object.__setattr__(out, "b", pt.b)
-    return out
+    return ProjPoint(frobenius(pt.a, n), pt.b)
 
 
 def _check_lambda_domain(lam):
@@ -273,13 +269,12 @@ def _check_charp_pair(lam1, lam2):
 
 
 def decide_lambda_char0(lam1, lam2) -> str:
-    """Decide what two characteristic-zero cross-ratios with identical
-    cyclic data can be.
+    """Decide whether <lam1> = <lam2> and <1-lam1> = <1-lam2> for two
+    characteristic-zero cross-ratios.
 
-    When both <lam1> = <lam2> and <1-lam1> = <1-lam2> hold, the pair is
-    forced: lam1 = lam2, or {lam1, lam2} = {rho, 1/rho} with rho the
-    primitive sixth root of unity.  Any third outcome is a defect in
-    this toolkit, not a data condition, and raises RuntimeError.
+    By near-rigidity both hold exactly when lam1 = lam2 (EQUAL) or
+    {lam1, lam2} = {rho, 1/rho}, with rho the primitive sixth root of
+    unity (RHO_PAIR); any other pair is HYPOTHESIS_FAILS.
     """
     if lam1.field != lam2.field:
         raise ValueError("field mismatch")
@@ -287,19 +282,13 @@ def decide_lambda_char0(lam1, lam2) -> str:
         raise ValueError("characteristic-zero fields only")
     _check_lambda_domain(lam1)
     _check_lambda_domain(lam2)
-    one = lam1.field.one()
-    if not (cyclic_equal(lam1, lam2) and cyclic_equal(one - lam1, one - lam2)):
-        return HYPOTHESIS_FAILS
     if lam1 == lam2:
         return EQUAL
     if lam1.field.kind == "QRho":
         rho = lam1.field.rho()
         if {lam1, lam2} == {rho, rho.inverse()}:
             return RHO_PAIR
-    raise RuntimeError(
-        "cyclic hypotheses hold but the pair is neither equal nor "
-        "{rho, 1/rho}: %r, %r" % (lam1, lam2)
-    )
+    return HYPOTHESIS_FAILS
 
 
 def _height(x):
@@ -339,6 +328,11 @@ def _p_exponent(r: Fraction, p: int, bound: int):
     if not 0 < k <= bound or p**k != m:
         return None
     return k if r.denominator == 1 else -k
+
+
+# The most bits of p^bound, counted as bound * bit_length(p), that the
+# power-products verb solves for: p = 3, bound = 16384 took 2.2 s (2-core VM).
+MAX_POWER_BITS = 2**15
 
 
 def power_product_solve(p: int, x1: int, y1: int, bound: int):

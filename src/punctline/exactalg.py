@@ -1,10 +1,10 @@
-"""Exact integer arithmetic: Smith normal form, linear algebra over Z/M,
-primality and integer factorization.
+"""Exact integer arithmetic: linear algebra over Z/M, primality and
+integer factorization.
 
 Everything here works with arbitrary-precision Python integers.  The main
-entry points are :func:`smith_normal_form` (with unimodular transforms),
-:func:`kernel_mod_m` / :func:`solve_mod_m`, :func:`is_prime` and
-:func:`factor_integer`.
+entry points are :func:`kernel_mod_m` / :func:`solve_mod_m`,
+:func:`is_prime` and :func:`factor_integer`; :func:`smith_normal_form`
+and :func:`det` serve only as test oracles.
 
 The solvers over Z/M never lift to Z.  For each prime power q^e exactly
 dividing M they diagonalise over the local ring Z/q^e, where an entry of

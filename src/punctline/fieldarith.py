@@ -58,7 +58,7 @@ class FieldDesc:
             return QElem(Fraction(n))
         if self.kind == "QRho":
             return QRhoElem(Fraction(n), Fraction(0))
-        return FpTElem(self.p, (n,), fppoly.ONE)
+        return _reduced(self.p, fppoly.norm((n,), self.p), fppoly.ONE)
 
     def rho(self):
         if self.kind != "QRho":
@@ -753,11 +753,11 @@ def torsion_order(a):
     """Multiplicative order, or None when infinite."""
     if a.is_zero():
         raise ValueError("zero has no multiplicative order")
-    ev = factorize(a)
-    if ev.factors:
+    try:
+        j = torsion_unit_exponent(a)
+    except ValueError:
         return None
     _, order = torsion_generator(a.field)
-    j = torsion_unit_exponent(ev.torsion)
     return order // math.gcd(order, j)
 
 

@@ -13,8 +13,6 @@ relation.  Only the abelianized layer of that presentation lives here.
 
 from dataclasses import dataclass
 
-from .exactalg import IntMatrix, smith_normal_form
-
 # CLI letter order: x, y, z name generators 1..3, then a, b, c, ...
 ALPHABET = "xyzabcdefghijklmnopqrstuvw"
 
@@ -127,25 +125,18 @@ class CurvePresentation:
     def is_hyperbolic(self) -> bool:
         return 2 - 2 * self.g - self.r < 0
 
-    def generator_count(self) -> int:
-        return 2 * self.g + self.r
-
 
 def presentation_abelianization(p: CurvePresentation):
     """Invariant factors of the abelianized one-relator group.
 
     Returned as a tuple with unit factors dropped and one 0 per free
-    summand, so (0, 3) yields (0, 0): free of rank 2.
+    summand, so (0, 3) yields (0, 0): free of rank 2.  The commutators
+    die, so the relation abelianizes to sigma_1 + ... + sigma_r = 0.  For
+    r >= 1 that row has invariant factor 1 and kills one generator: free
+    of rank 2g + r - 1.  For r = 0 it is zero: free of rank 2g.
     """
-    n = p.generator_count()
-    if n == 0:
-        return ()
-    # relation abelianizes to sigma_1 + ... + sigma_r = 0; commutators die
-    row = [0] * (2 * p.g) + [1] * p.r
-    res = smith_normal_form(IntMatrix([row]))
-    torsion = [d for d in res.invariant_factors() if d not in (0, 1)]
-    rank = n - sum(1 for d in res.invariant_factors() if d != 0)
-    return tuple(torsion) + (0,) * rank
+    rank = 2 * p.g + p.r - 1 if p.r else 2 * p.g
+    return (0,) * rank
 
 
 def abelianization_rank(p: CurvePresentation) -> int:

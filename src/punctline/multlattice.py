@@ -4,7 +4,9 @@ An element of k^times is a torsion unit times a product of canonical
 irreducibles (see :func:`fieldarith.factorize`), so it reads as a
 torsion exponent against the field's torsion generator (w = 2, 6, or
 p - 1) plus an exponent vector over its support.  The decisions below
-compare two elements through that data.
+compare two elements through that data: the paper's Kummer route, which
+reconstruct no longer takes (crossratio decides by near-rigidity and by
+heights); forced_map_realizable and the tests keep it as the reference.
 """
 
 import math

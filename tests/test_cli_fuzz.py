@@ -1,6 +1,7 @@
 """Seeded fuzzing of the command line's F_p(t) inputs: element texts for
 `crossratio` and `kummer`, and generated scenario JSON for `reconstruct`;
-then the exit codes of the bound on `groupring --moduli`.
+then the exit codes of the bounds on `groupring --moduli`, `groupring
+--mod` and `power-products --bound`.
 
 Each case applies one mutation (a deleted, duplicated or inserted
 character, a huge exponent, a `/0`, or an unbalanced parenthesis) to a
@@ -16,8 +17,9 @@ import random
 import pytest
 
 from punctline import cli
+from punctline.crossratio import MAX_POWER_BITS
 from punctline.fieldarith import MAX_DEGREE, fpt
-from punctline.groupring import MAX_ORDER
+from punctline.groupring import MAX_MODULUS, MAX_ORDER
 from punctline.reconstruct import generate_scenario, scenario_to_json
 
 PRIMES = (2, 3, 5, 7)
@@ -134,3 +136,46 @@ def test_groupring_moduli_bound_exit_codes(capsys, monkeypatch):
         assert cli.console_main(argv) == 2, moduli
         err = capsys.readouterr().err
         assert "--moduli %s" % moduli in err and "exceeds the bound 1024" in err
+
+
+def test_groupring_mod_bound_exit_codes(capsys, monkeypatch):
+    """M up to MAX_MODULUS is answered; beyond it the verb exits 2
+    naming --mod before M is factored."""
+    assert MAX_MODULUS == 2**16
+    for mod in ("30030", "65536"):
+        argv = ["groupring", "--moduli", "6", "--mod", mod, "--elem", "x^3-1"]
+        assert run_quietly(capsys, argv) == 0, mod
+
+    def no_kernel(*args):
+        pytest.fail("an over-bound modulus reached annihilator_basis")
+
+    # the semiprime (2^61 - 1)(2^89 - 1) kept Pollard rho busy past 10 s
+    monkeypatch.setattr(cli, "annihilator_basis", no_kernel)
+    semiprime = str((2**61 - 1) * (2**89 - 1))
+    for mod in ("65537", "510510", semiprime, str(10**40)):
+        argv = ["groupring", "--moduli", "2", "--mod", mod, "--elem", "x-1"]
+        assert cli.console_main(argv) == 2, mod
+        err = capsys.readouterr().err
+        assert "--mod %s exceeds the bound 65536" % mod in err
+
+
+def test_power_products_bound_exit_codes(capsys, monkeypatch):
+    """bound * bit_length(p) up to MAX_POWER_BITS is solved; beyond it
+    the verb exits 2 naming --bound before any power of p is built."""
+    assert MAX_POWER_BITS == 2**15
+    big = 2**64 - 59  # a 64-bit prime: 512 * 64 = 2^15
+    for p, bound in ((3, 4000), (big, 512)):
+        argv = ["power-products", "--p", str(p), "--x", "2", "--y", "5",
+                "--bound", str(bound)]
+        assert run_quietly(capsys, argv) == 0, (p, bound)
+
+    def no_solve(*args):
+        pytest.fail("an over-bound box reached power_product_solve")
+
+    monkeypatch.setattr(cli, "power_product_solve", no_solve)
+    for p, bound in ((3, 16385), (3, 20000), (big, 513), (2, 10**30)):
+        argv = ["power-products", "--p", str(p), "--x", "2", "--y", "5",
+                "--bound", str(bound)]
+        assert cli.console_main(argv) == 2, (p, bound)
+        err = capsys.readouterr().err
+        assert "--bound %d: p^bound may exceed 32768 bits" % bound in err

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -31,6 +32,8 @@ from punctline.fieldarith import (
     fpt,
     frobenius,
     is_constant,
+    torsion_generator,
+    torsion_unit_exponent,
 )
 from punctline.multlattice import solve_p_power
 
@@ -234,6 +237,75 @@ def test_decide_lambda_char0_never_hits_internal_error():
         if lam1 == lam2:
             assert verdict == EQUAL
     assert seen == {EQUAL, RHO_PAIR, HYPOTHESIS_FAILS}
+
+
+def _order_by_factorization(a):
+    # a is torsion exactly when no irreducible divides it
+    ev = factorize(a)
+    if ev.factors:
+        return None
+    _, w = torsion_generator(a.field)
+    return w // math.gcd(w, torsion_unit_exponent(ev.torsion))
+
+
+def _anharmonic_pool(field, values):
+    """values and their images x^-1, 1-x, 1/(1-x), (x-1)/x, x/(x-1),
+    leaving out 0 and 1."""
+    one = field.one()
+    pool = {}
+    for x in values:
+        if x.is_zero() or x == one:
+            continue
+        for y in (x, x.inverse(), one - x, (one - x).inverse(), (x - one) / x,
+                  x / (x - one)):
+            pool[y] = None
+    return list(pool)
+
+
+def test_decide_lambda_char0_matches_cyclic_subgroup_route():
+    """Near-rigidity against the cyclic-subgroup route it replaced:
+    <lam1> = <lam2> and <1-lam1> = <1-lam2>, each decided as a = b^(+-1)
+    or equal finite orders, with torsion read off factorize.  Where both
+    hold the pair must be equal or {rho, 1/rho}."""
+    rho = QRHO.rho()
+    pool_q = _anharmonic_pool(Q, [
+        q(Fraction(n, d)) for n in range(-10, 11) for d in (1, 2, 3, 4, 5, 7)
+    ])
+    pool_r = _anharmonic_pool(QRHO, [rho**j for j in range(1, 6)] + [
+        (QRHO.from_int(a) + QRHO.from_int(b) * rho) / QRHO.from_int(d)
+        for a in range(-2, 3) for b in range(-2, 3) for d in (1, 2)
+    ])
+    assert {rho, rho**2, rho**3, rho**4, rho**5} <= set(pool_r)
+    holds = 0
+    cases = 0
+    for pool in (pool_q, pool_r):
+        one = pool[0].field.one()
+        order = {x: _order_by_factorization(x) for x in pool}
+        order.update((one - x, _order_by_factorization(one - x)) for x in pool)
+        inverse = {x: x.inverse() for x in order}
+
+        def same_cyclic(a, b):
+            return a == b or a == inverse[b] or (
+                order[a] is not None and order[a] == order[b]
+            )
+
+        for lam1 in pool:
+            for lam2 in pool:
+                cases += 1
+                verdict = decide_lambda_char0(lam1, lam2)
+                if not (same_cyclic(lam1, lam2)
+                        and same_cyclic(one - lam1, one - lam2)):
+                    assert verdict == HYPOTHESIS_FAILS, (lam1, lam2)
+                    continue
+                holds += 1
+                if lam1 == lam2:
+                    assert verdict == EQUAL, (lam1, lam2)
+                else:
+                    assert {lam1, lam2} == {rho, rho.inverse()}, (lam1, lam2)
+                    assert verdict == RHO_PAIR
+    assert cases >= 40000
+    assert holds == len(pool_q) + len(pool_r) + 2
+    assert decide_lambda_char0(rho**2, rho**4) == HYPOTHESIS_FAILS
 
 
 def test_decide_lambda_charp_frozen():

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -205,6 +206,28 @@ def test_torsion_order():
     assert torsion_order(fpt(7).from_int(2)) == 3
     with pytest.raises(ValueError):
         torsion_order(Q.zero())
+
+
+def test_torsion_order_matches_factorization_route():
+    """torsion_order decides by discrete log alone; the factorisation
+    route finds a torsion exactly when no irreducible divides it, with
+    order w / gcd(w, j) for the unit's exponent j."""
+    rng = random.Random(607)
+    cases = torsion = 0
+    for field in (Q, QRHO) + tuple(fpt(p) for p in (2, 3, 5, 7, 11, 13)):
+        gen, w = torsion_generator(field)
+        units = [gen**j for j in range(w)]
+        elems = units + [u * rand_elem(rng, field) for u in units for _ in range(4)]
+        elems += [rand_elem(rng, field) for _ in range(70)]
+        for a in elems:
+            ev = factorize(a)
+            expect = None
+            if not ev.factors:
+                expect = w // math.gcd(w, torsion_unit_exponent(ev.torsion))
+                torsion += 1
+            assert torsion_order(a) == expect, a
+            cases += 1
+    assert cases >= 700 and torsion >= 80
 
 
 def test_torsion_generator_and_exponent():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from punctline.exactalg import IntMatrix, smith_normal_form
 from punctline.freegroup import (
     CurvePresentation,
     Word,
@@ -105,6 +106,21 @@ def test_presentation_abelianization_frozen():
     assert presentation_abelianization(CurvePresentation(2, 0)) == (0,) * 4
     assert presentation_abelianization(CurvePresentation(0, 0)) == ()
     assert presentation_abelianization(CurvePresentation(0, 1)) == ()
+
+
+def test_presentation_abelianization_matches_smith_form():
+    """The closed form against the Smith normal form of the abelianized
+    relation: 0 on the 2g generators alpha_i, beta_i, 1 on the r sigma_j."""
+    for g in range(12):
+        for r in range(15):
+            n = 2 * g + r
+            expect = ()
+            if n:
+                row = [0] * (2 * g) + [1] * r
+                d = smith_normal_form(IntMatrix([row])).invariant_factors()
+                rank = n - sum(1 for x in d if x)
+                expect = tuple(x for x in d if x not in (0, 1)) + (0,) * rank
+            assert presentation_abelianization(CurvePresentation(g, r)) == expect
 
 
 def test_rank_grid():

@@ -2,15 +2,18 @@
 
 import json
 import random
+import sys
 
 import pytest
 
+from punctline import exactalg, fieldarith
 from punctline.crossratio import (
     RHO_PAIR,
     CuspSet,
     MobiusMap,
     ProjPoint,
     cross_ratio,
+    mobius_from_triples,
     star_check,
 )
 from punctline.fieldarith import (
@@ -94,6 +97,59 @@ def test_char0_rho_pair_ambiguity():
     # the marked result is not a pointwise match, only equal up to the
     # order-6 pair, so verification reports the mismatch
     assert not verify_reconstruction(s, r)
+
+
+def _rho_pair_scenario(s):
+    """s with one more cusp pair whose coordinates are rho and 1/rho:
+    the preimages of rho and 1/rho under the normalizing maps of E1 and
+    E2, so the honest map of s does not carry the new pair."""
+    field = s.field
+    rho = field.rho()
+    std = (ProjPoint.affine(field.zero()), ProjPoint.infinity(field),
+           ProjPoint.affine(field.one()))
+    base2 = tuple(s.e2.points[s.phi[i]] for i in range(3))
+    x1 = mobius_from_triples(*std, *s.e1.points[:3]).apply(ProjPoint.affine(rho))
+    x2 = mobius_from_triples(*std, *base2).apply(ProjPoint.affine(rho.inverse()))
+    n = s.size()
+    return Scenario(field, CuspSet(field, s.e1.points + (x1,)),
+                    CuspSet(field, s.e2.points + (x2,)), s.phi + (n,))
+
+
+def test_char0_reconstruct_never_factorizes(monkeypatch):
+    """Over Q and Q(rho) near-rigidity decides every cusp by comparing
+    values: honest, corrupted and rho-pair scenarios are reconstructed
+    and verified without one factorisation."""
+    scenarios = []
+    for field in (Q, QRHO):
+        for seed in range(6):
+            s = generate_scenario(field, 5 + seed % 3, seed=seed)
+            phi = list(s.phi)
+            phi[3], phi[4] = phi[4], phi[3]
+            scenarios += [s, Scenario(field, s.e1, s.e2, tuple(phi))]
+            if field == QRHO:
+                scenarios.append(_rho_pair_scenario(s))
+    calls = []
+    for original in (fieldarith.factorize, exactalg.factor_integer):
+        def counting(*args, original=original):
+            calls.append(original.__name__)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("punctline"):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+    verdicts = {"accepted": 0, "rejected": 0, RHO_PAIR: 0}
+    for s in scenarios:
+        try:
+            r = reconstruct(s)
+        except ReconstructionError:
+            verdicts["rejected"] += 1
+            continue
+        verify_reconstruction(s, r)
+        verdicts[r.ambiguity or "accepted"] += 1
+    assert verdicts == {"accepted": 12, "rejected": 12, RHO_PAIR: 6}
+    assert calls == []
 
 
 def test_char0_wrong_field_raises():
