@@ -22,6 +22,7 @@ from .crossratio import (
     MAX_POWER_BITS,
     CuspSet,
     EQUAL,
+    HYPOTHESIS_FAILS,
     ProjPoint,
     RHO_PAIR,
     cross_ratio,
@@ -30,9 +31,11 @@ from .crossratio import (
     star_check,
 )
 from .fieldarith import (
+    MAX_FACTOR_BITS,
     FieldDesc,
     elem_from_text,
     elem_to_text,
+    factor_bits,
     frobenius,
     is_constant,
 )
@@ -56,13 +59,14 @@ from .groupring import (
     gamma_splitting,
     limit_regularity_check,
     parse_elem,
+    term_text,
 )
 from .magnusfox import (
     bl_kernel_check,
     derivative_vector,
     fundamental_identity_check,
 )
-from .multlattice import KummerInvariant, kummer_equal
+from .multlattice import KummerInvariant, cyclic_equal, kummer_equal
 from .reconstruct import (
     ReconstructionError,
     Scenario,
@@ -110,10 +114,21 @@ class SweepResult:
 # sweeps
 
 
+# The largest bound * bit_length(p) the power-products sweep takes for
+# each prime it sweeps: its (2 bound)^2 solves of 2 bound steps each took
+# 0.77 s at p = 3, bound = 24 and 0.9 s over the four default primes at
+# bound = 16, where bound = 32 took 1.8 s at p = 3 (2-core VM).
+MAX_SWEEP_BITS = 48
+
+
 def _sweep_power_products(rng, p=None, bound=6):
     """Product of (p^x - 1)(p^y - 1) determines {x, y}: compare the
     solver against a table of all products over the box."""
     primes = (2, 3, 5, 7) if p is None else (p,)
+    if bound * max(q.bit_length() for q in primes) > MAX_SWEEP_BITS:
+        raise ValueError(
+            "--bound %d: bound * bit_length(p) exceeds %d" % (bound, MAX_SWEEP_BITS)
+        )
     cases = 0
     for q in primes:
         box = [e for e in range(-bound, bound + 1) if e]
@@ -289,24 +304,59 @@ def _sweep_twist_uniqueness(rng, count=20, delta_bound=4):
     return cases, None
 
 
+def _random_lambda(rng, field):
+    # an element outside {0, 1}; over Q(rho) a sixth root of unity one
+    # time in four, so that the pair {rho, 1/rho} comes up
+    while True:
+        lam = field.from_int(rng.randint(-40, 40)) / field.from_int(rng.randint(1, 12))
+        if field.kind == "QRho":
+            rho = field.rho()
+            if rng.random() < 0.25:
+                lam = rho ** rng.randint(1, 5)
+            else:
+                lam = lam + field.from_int(rng.randint(-3, 3)) * rho
+        if not lam.is_zero() and lam != field.one():
+            return lam
+
+
 def _sweep_rho_pair(rng, count=1000):
-    """The exceptional pair classifies as such, and honest equal pairs
-    over Q always classify as equal."""
+    """Near-rigidity against the paper's hypotheses <lam1> = <lam2> and
+    <1-lam1> = <1-lam2>, each checked by cyclic_equal.  Over Q and
+    Q(rho), with lam2 equal to lam1, drawn from its anharmonic orbit or
+    at random, the verdict fails the hypotheses exactly when they fail
+    and is EQUAL exactly when lam1 = lam2."""
     qrho = FieldDesc.from_text("QRho")
     rho = qrho.rho()
     cases = 1
     if decide_lambda_char0(rho, rho.inverse()) != RHO_PAIR:
         return cases, "(rho, 1/rho) not classified as the special pair"
-    q = FieldDesc.from_text("Q")
+    fields = (FieldDesc.from_text("Q"), qrho)
     for _ in range(count):
-        lam = q.zero()
-        while lam.is_zero() or lam == q.one():
-            lam = q.from_int(rng.randint(-40, 40)) / q.from_int(
-                rng.randint(1, 12)
-            )
+        field = rng.choice(fields)
+        one = field.one()
+        lam1 = _random_lambda(rng, field)
+        draw = rng.randrange(3)
+        if draw == 0:
+            lam2 = lam1
+        elif draw == 1:
+            lam2 = rng.choice((
+                lam1.inverse(), one - lam1, (one - lam1).inverse(),
+                (lam1 - one) / lam1, lam1 / (lam1 - one),
+            ))
+        else:
+            lam2 = _random_lambda(rng, field)
         cases += 1
-        if decide_lambda_char0(lam, lam) != EQUAL:
-            return cases, "lam=%s not classified equal" % elem_to_text(lam)
+        holds = cyclic_equal(lam1, lam2) and cyclic_equal(one - lam1, one - lam2)
+        verdict = decide_lambda_char0(lam1, lam2)
+        if (verdict != HYPOTHESIS_FAILS) != holds or (verdict == EQUAL) != (
+            lam1 == lam2
+        ):
+            return cases, "lam1=%s lam2=%s: %s, hypotheses %s" % (
+                elem_to_text(lam1),
+                elem_to_text(lam2),
+                verdict,
+                "hold" if holds else "fail",
+            )
     return cases, None
 
 
@@ -463,17 +513,7 @@ def laurent_text(a) -> str:
     parts = []
     for key in keys:
         c = a.coeffs[key]
-        mono = "*".join(
-            ALPHABET[i] + ("" if e == 1 else "^%d" % e)
-            for i, e in enumerate(key)
-            if e
-        )
-        if not mono:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = "%d*%s" % (abs(c), mono)
+        body = term_text(abs(c), key)
         if not parts:
             parts.append(("-" if c < 0 else "") + body)
         else:
@@ -669,6 +709,13 @@ def _cmd_kummer(args) -> int:
     field = FieldDesc.from_text(args.field)
     a = elem_from_text(field, args.a)
     b = elem_from_text(field, args.b)
+    bound = MAX_FACTOR_BITS[field.kind]
+    for flag, x in (("--a", a), ("--b", b)):
+        if factor_bits(x) > bound:
+            raise ValueError(
+                "%s: a norm of its numerator or denominator exceeds the "
+                "bound of %d bits over %s" % (flag, bound, field.to_text())
+            )
     equal = kummer_equal(KummerInvariant(args.n, a), KummerInvariant(args.n, b))
     payload = {"n": args.n, "a": args.a, "b": args.b, "equal": equal}
     _emit(args, payload, ["equal" if equal else "different"])

@@ -117,15 +117,38 @@ def fpt(p: int) -> FieldDesc:
     return FieldDesc("FpT", p)
 
 
-class QElem:
+class _Elem:
+    """What the three element types share: immutability, division by
+    the inverse, and integer powers by square-and-multiply."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *args):
+        raise AttributeError("immutable")
+
+    def __truediv__(self, other):
+        _same_field(self, other)
+        return self * other.inverse()
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** (-e)
+        out = self.field.one()
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+
+class QElem(_Elem):
     __slots__ = ("value",)
     field = Q
 
     def __init__(self, value):
         object.__setattr__(self, "value", Fraction(value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def is_zero(self):
         return self.value == 0
@@ -163,22 +186,14 @@ class QElem:
     def inverse(self):
         return self.field.one() / self
 
-    def __pow__(self, e: int):
-        if e >= 0:
-            return QElem(self.value**e)
-        return self.inverse() ** (-e)
 
-
-class QRhoElem:
+class QRhoElem(_Elem):
     __slots__ = ("a", "b")
     field = QRHO
 
     def __init__(self, a, b):
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
-
-    def __setattr__(self, *args):
-        raise AttributeError("immutable")
 
     def is_zero(self):
         return self.a == 0 and self.b == 0
@@ -223,24 +238,8 @@ class QRhoElem:
         c = self.conj()
         return QRhoElem(c.a / n, c.b / n)
 
-    def __truediv__(self, other):
-        _same_field(self, other)
-        return self * other.inverse()
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = QRhoElem(1, 0)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-
-class FpTElem:
+class FpTElem(_Elem):
     """num/den in F_p(t), always in canonical form: num and den coprime,
     den monic (so 0 is 0/1).  Equality and hashing compare the stored
     tuples, and the arithmetic below relies on its operands being in
@@ -268,9 +267,6 @@ class FpTElem:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "field", fpt(p))
-
-    def __setattr__(self, *args):
-        raise AttributeError("immutable")
 
     def is_zero(self):
         return not self.num
@@ -336,22 +332,6 @@ class FpTElem:
             num = fppoly.scale(num, inv, p)
             den = fppoly.scale(den, inv, p)
         return _reduced(p, num, den)
-
-    def __truediv__(self, other):
-        _same_field(self, other)
-        return self * other.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
 
 def _reduced(p, num, den):
@@ -444,8 +424,6 @@ def elem_to_text(a) -> str:
         rho = "rho" if abs(a.b) == 1 else "%s*rho" % abs(a.b)
         sign = "-" if a.b < 0 else ("+" if a.a != 0 else "")
         head = str(a.a) if a.a != 0 else ""
-        if a.a == 0 and a.b < 0:
-            sign = "-"
         return "%s%s%s" % (head, sign, rho)
     if isinstance(a, FpTElem):
         num = _poly_to_text(a.num, a.p)
@@ -513,7 +491,7 @@ def _parse_elem(field: FieldDesc, text: str):
 
 # --- factorization -------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ExponentVector:
     """torsion * product of irreducible^exponent, recomposing exactly."""
 
@@ -526,14 +504,6 @@ class ExponentVector:
             self, "factors", {k: int(e) for k, e in self.factors.items() if e}
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExponentVector)
-            and self.field == other.field
-            and self.torsion == other.torsion
-            and self.factors == other.factors
-        )
-
     def recompose(self):
         out = self.torsion
         for irr, e in self.factors.items():
@@ -543,21 +513,10 @@ class ExponentVector:
 
 _RAMIFIED = QRhoElem(2, -1)  # 2 - rho, the canonical prime above 3
 
-_MU6 = {
-    QRhoElem(1, 0): 0,
-    QRhoElem(0, 1): 1,
-    QRhoElem(-1, 1): 2,
-    QRhoElem(-1, 0): 3,
-    QRhoElem(0, -1): 4,
-    QRhoElem(1, -1): 5,
-}
-
-
 def _eisenstein_divide(z, w):
     # exact division in Z[rho]; returns None if w does not divide z
-    n = w.a * w.a + w.a * w.b + w.b * w.b
-    c = QRhoElem(w.a + w.b, -w.b)
-    prod = QRhoElem(z.a * c.a - z.b * c.b, z.a * c.b + z.b * c.a + z.b * c.b)
+    n = w.norm()
+    prod = z * w.conj()
     if prod.a % n or prod.b % n:
         return None
     return QRhoElem(prod.a / n, prod.b / n)
@@ -574,97 +533,107 @@ def _primary_associate(z):
     raise ValueError("no primary associate: norm divisible by 3")
 
 
-def _split_prime(p):
-    # p = 1 mod 3: find a primary pi with norm p by brute force
-    bound = math.isqrt(4 * p // 3) + 2
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if a * a + a * b + b * b == p:
-                return _primary_associate(QRhoElem(a, b))
-    raise RuntimeError("no Eisenstein prime of norm %d found" % p)
+def _split_prime(q):
+    """A primary prime of norm q, for a rational prime q = 1 (mod 3).
+
+    Cornacchia's algorithm (Cohen, A Course in Computational Algebraic
+    Number Theory, 1.5.2) writes q = x^2 + 3y^2 from a square root r of
+    -3 mod q, and N(x - y + 2y rho) = x^2 + 3y^2.  r = 2w + 1 for a cube
+    root of unity w != 1, a power g^((q-1)/3) of some non-cube g."""
+    g = 2
+    while pow(g, (q - 1) // 3, q) == 1:
+        g += 1
+    x, r = q, (2 * pow(g, (q - 1) // 3, q) + 1) % q
+    while r * r > q:
+        x, r = r, x % r
+    y = math.isqrt((q - r * r) // 3)
+    if r * r + 3 * y * y != q:
+        raise RuntimeError("no Eisenstein prime of norm %d found" % q)
+    return _primary_associate(QRhoElem(r - y, 2 * y))
+
+
+def _primes_above(q):
+    """The canonical primes of Z[rho] above the rational prime q."""
+    if q == 3:
+        return (_RAMIFIED,)
+    if q % 3 == 2:
+        return (QRhoElem(q, 0),)
+    pi = _split_prime(q)
+    # the conjugate of a primary element is primary
+    return (pi, pi.conj())
 
 
 def _factor_eisenstein_int(z):
     """Factor a nonzero z in Z[rho]: (mu_6 unit, {canonical prime: exp})."""
-    n = int(z.a * z.a + z.a * z.b + z.b * z.b)
-    _, rational = factor_integer(n)
+    _, rational = factor_integer(int(z.norm()))
     factors = {}
-    for q in sorted(rational):
-        if q == 3:
-            pi = _RAMIFIED
-            while True:
-                nxt = _eisenstein_divide(z, pi)
-                if nxt is None:
-                    break
-                z = nxt
-                factors[pi] = factors.get(pi, 0) + 1
-        elif q % 3 == 2:
-            qq = QRhoElem(q, 0)
-            while True:
-                nxt = _eisenstein_divide(z, qq)
-                if nxt is None:
-                    break
-                z = nxt
-                factors[qq] = factors.get(qq, 0) + 1
-        else:
-            pi = _split_prime(q)
-            for prime in (pi, _primary_associate(pi.conj())):
-                while True:
-                    nxt = _eisenstein_divide(z, prime)
-                    if nxt is None:
-                        break
-                    z = nxt
-                    factors[prime] = factors.get(prime, 0) + 1
-    if z not in _MU6:
+    for q in rational:
+        for prime in _primes_above(q):
+            while (quotient := _eisenstein_divide(z, prime)) is not None:
+                z = quotient
+                factors[prime] = factors.get(prime, 0) + 1
+    # what is left is in Z[rho], so it is a unit (in mu_6) iff of norm 1
+    if z.norm() != 1:
         raise RuntimeError("leftover non-unit %r after Eisenstein factorization" % z)
     return z, factors
 
 
+def _ring_parts(a):
+    """a as num / den with num and den in the field's ring Z, Z[rho] or
+    F_p[t]; over Q(rho) den is the common denominator d of the two
+    coordinates, as an Eisenstein integer."""
+    if a.field.kind == "Q":
+        return a.value.numerator, a.value.denominator
+    if a.field.kind == "QRho":
+        d = math.lcm(a.a.denominator, a.b.denominator)
+        return QRhoElem(a.a * d, a.b * d), QRhoElem(d, 0)
+    return a.num, a.den
+
+
+def _factor_ring(f, x):
+    """Factor a nonzero x of the ring of f: (unit, {canonical
+    irreducible: exponent})."""
+    if f.kind == "Q":
+        sign, primes = factor_integer(x)
+        return QElem(sign), {QElem(q): e for q, e in primes.items()}
+    if f.kind == "QRho":
+        return _factor_eisenstein_int(x)
+    lead, irreducibles = fppoly.factor(x, f.p)
+    return FpTElem(f.p, (lead,)), {FpTElem(f.p, g): e for g, e in irreducibles.items()}
+
+
 def factorize(a) -> ExponentVector:
-    """Exact factorization into a torsion unit times canonical irreducibles."""
+    """Exact factorization into a torsion unit times canonical
+    irreducibles: numerator and denominator are factored in the field's
+    ring, and the torsion unit is the quotient of their units."""
     if a.is_zero():
         raise ValueError("cannot factorize zero")
-    f = a.field
-    if f.kind == "Q":
-        num, den = a.value.numerator, a.value.denominator
-        sign, top = factor_integer(num)
-        _, bottom = factor_integer(den)
-        factors = {QElem(p): e for p, e in top.items()}
-        for p, e in bottom.items():
-            key = QElem(p)
-            factors[key] = factors.get(key, 0) - e
-        return ExponentVector(f, QElem(sign), factors)
-    if f.kind == "FpT":
-        p = f.p
-        lead_n, top = fppoly.factor(a.num, p)
-        lead_d, bottom = fppoly.factor(a.den, p)
-        factors = {FpTElem(p, irr): e for irr, e in top.items()}
-        for irr, e in bottom.items():
-            key = FpTElem(p, irr)
-            factors[key] = factors.get(key, 0) - e
-        unit = (lead_n * pow(lead_d, -1, p)) % p
-        return ExponentVector(f, FpTElem(p, (unit,)), factors)
-    # QRho: clear denominators, factor the Eisenstein integer, then pull
-    # the rational denominator back out prime by prime
-    d = math.lcm(a.a.denominator, a.b.denominator)
-    z = QRhoElem(a.a * d, a.b * d)
-    unit, factors = _factor_eisenstein_int(z)
-    uexp = _MU6[unit]
-    _, dfac = factor_integer(d)
-    for q, e in dfac.items():
-        if q == 3:
-            # 3 = rho * (2 - rho)^2
-            uexp -= e
-            factors[_RAMIFIED] = factors.get(_RAMIFIED, 0) - 2 * e
-        elif q % 3 == 2:
-            key = QRhoElem(q, 0)
-            factors[key] = factors.get(key, 0) - e
-        else:
-            pi = _split_prime(q)
-            for prime in (pi, _primary_associate(pi.conj())):
-                factors[prime] = factors.get(prime, 0) - e
-    rho = QRhoElem(0, 1)
-    return ExponentVector(f, rho ** (uexp % 6), factors)
+    num, den = _ring_parts(a)
+    unit, factors = _factor_ring(a.field, num)
+    den_unit, den_factors = _factor_ring(a.field, den)
+    for irr, e in den_factors.items():
+        factors[irr] = factors.get(irr, 0) - e
+    return ExponentVector(a.field, unit / den_unit, factors)
+
+
+# The largest factorizations an element text may ask for, in bits of the
+# norms of its numerator and denominator in the field's ring: |n| in Z,
+# a^2 + ab + b^2 in Z[rho], p^deg in F_p[t] (counted as deg *
+# bit_length(p)).  Over Z and Z[rho] Pollard rho's time grows with the
+# size of the prime factors: a 64-bit semiprime took 0.06 s, an 80-bit
+# one 1.0 s.  Over F_p[t] it is polynomial in the degree: at 256 bits
+# the slowest polynomial took 0.32 s (p = 3, degree 128), at 512 bits
+# 1.8 s (p = 7, degree 170).  Timings on a 2-core VM.
+MAX_FACTOR_BITS = {"Q": 64, "QRho": 64, "FpT": 256}
+
+
+def factor_bits(a) -> int:
+    """The bits of the larger norm of a's numerator and denominator, as
+    MAX_FACTOR_BITS counts them."""
+    if a.field.kind == "FpT":
+        return max(fppoly.deg(x) for x in _ring_parts(a)) * a.p.bit_length()
+    norm = abs if a.field.kind == "Q" else (lambda z: int(z.norm()))
+    return max(norm(x).bit_length() for x in _ring_parts(a))
 
 
 # --- small queries --------------------------------------------------------

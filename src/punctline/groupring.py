@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .exactalg import is_prime, kernel_mod_m
+from .exactalg import kernel_mod_m
 from .freegroup import ALPHABET
 
 
@@ -40,7 +40,7 @@ class AbelianShape:
         return itertools.product(*(range(n) for n in self.moduli))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GroupRingElem:
     shape: AbelianShape
     M: int
@@ -79,14 +79,6 @@ class GroupRingElem:
     def _compat(self, other):
         if self.shape != other.shape or self.M != other.M:
             raise ValueError("shape or modulus mismatch")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRingElem)
-            and self.shape == other.shape
-            and self.M == other.M
-            and self.coeffs == other.coeffs
-        )
 
     def __add__(self, other):
         self._compat(other)
@@ -178,30 +170,17 @@ def transition(a: GroupRingElem, m_prime: int) -> GroupRingElem:
     return project(a, (m_prime,))
 
 
-def _admissible_part(n: int, excluded_prime) -> int:
-    # the part of n supported on the allowed primes; None allows them all
-    if excluded_prime is None:
-        return n
-    while n % excluded_prime == 0:
-        n //= excluded_prime
-    return n
-
-
-def limit_regularity_check(n: int, M: int, m_prime: int, k: int, excluded_prime=None) -> bool:
+def limit_regularity_check(n: int, M: int, m_prime: int, k: int) -> bool:
     """Transition-compatibility shadow of regularity of x^n - 1.
 
     True iff the transition map from level k*m' to level m' sends every
-    annihilator generator of x^n - 1 into k*(Z/M)[Z/m'].  The admissible
-    part of n (all of n when excluded_prime is None) must divide m'.
+    annihilator generator of x^n - 1 into k*(Z/M)[Z/m'].  n must divide
+    m'.
     """
     if n < 1 or M < 2 or m_prime < 1 or k < 1:
         raise ValueError("truncation parameters must be positive (M >= 2)")
-    if excluded_prime is not None and not is_prime(excluded_prime):
-        raise ValueError("excluded_prime must be a prime, got %r" % (excluded_prime,))
-    if m_prime % _admissible_part(n, excluded_prime) != 0:
-        raise ValueError(
-            "admissible part of n=%d does not divide m'=%d" % (n, m_prime)
-        )
+    if m_prime % n != 0:
+        raise ValueError("n=%d does not divide m'=%d" % (n, m_prime))
     shape = AbelianShape((k * m_prime,))
     a = GroupRingElem.monomial(shape, M, n) - GroupRingElem.one(shape, M)
     divisor = math.gcd(k, M)
@@ -261,21 +240,18 @@ def parse_elem(shape: AbelianShape, M: int, text: str) -> GroupRingElem:
     return out
 
 
+def term_text(c: int, key) -> str:
+    """The term c * x^key for c >= 1, with variables x, y, z, a, ...
+    naming the coordinates: 5, x, 2*x^3*y^-1."""
+    mono = "*".join(
+        ALPHABET[i] + ("" if e == 1 else "^%d" % e) for i, e in enumerate(key) if e
+    )
+    if not mono:
+        return str(c)
+    return mono if c == 1 else "%d*%s" % (c, mono)
+
+
 def elem_text(a: GroupRingElem) -> str:
     if a.is_zero():
         return "0"
-    parts = []
-    for key in sorted(a.coeffs):
-        c = a.coeffs[key]
-        mono = "*".join(
-            ALPHABET[i] + ("^%d" % e if e > 1 else "")
-            for i, e in enumerate(key)
-            if e
-        )
-        if not mono:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(mono)
-        else:
-            parts.append("%d*%s" % (c, mono))
-    return " + ".join(parts)
+    return " + ".join(term_text(a.coeffs[key], key) for key in sorted(a.coeffs))

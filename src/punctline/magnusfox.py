@@ -19,7 +19,7 @@ from .freegroup import Word, abelianize
 from .groupring import AbelianShape, GroupRingElem, mult_rows, project
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LaurentElem:
     """Element of Z[Z^r]: finite map from exponent vectors to integers."""
 
@@ -62,13 +62,6 @@ class LaurentElem:
 
     def augmentation(self):
         return sum(self.coeffs.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentElem)
-            and self.rank == other.rank
-            and self.coeffs == other.coeffs
-        )
 
     def __add__(self, other):
         if self.rank != other.rank:
@@ -160,7 +153,7 @@ def bl_kernel_check(a) -> bool:
     return _fox_sum(a, rank).is_zero()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MetabelianElem:
     """Magnus-embedding image: abelian part plus derivative vector.
 
@@ -189,13 +182,6 @@ class MetabelianElem:
     @classmethod
     def identity(cls, rank):
         return cls((0,) * rank, tuple(LaurentElem.zero(rank) for _ in range(rank)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MetabelianElem)
-            and self.ab == other.ab
-            and self.deriv == other.deriv
-        )
 
     def inverse(self):
         rank = self.rank

@@ -1,7 +1,8 @@
 """Seeded fuzzing of the command line's F_p(t) inputs: element texts for
 `crossratio` and `kummer`, and generated scenario JSON for `reconstruct`;
 then the exit codes of the bounds on `groupring --moduli`, `groupring
---mod` and `power-products --bound`.
+--mod`, `power-products --bound`, `verify power-products --bound` and
+`kummer --a/--b`.
 
 Each case applies one mutation (a deleted, duplicated or inserted
 character, a huge exponent, a `/0`, or an unbalanced parenthesis) to a
@@ -16,9 +17,9 @@ import random
 
 import pytest
 
-from punctline import cli
+from punctline import cli, multlattice
 from punctline.crossratio import MAX_POWER_BITS
-from punctline.fieldarith import MAX_DEGREE, fpt
+from punctline.fieldarith import MAX_DEGREE, MAX_FACTOR_BITS, fpt
 from punctline.groupring import MAX_MODULUS, MAX_ORDER
 from punctline.reconstruct import generate_scenario, scenario_to_json
 
@@ -179,3 +180,80 @@ def test_power_products_bound_exit_codes(capsys, monkeypatch):
         assert cli.console_main(argv) == 2, (p, bound)
         err = capsys.readouterr().err
         assert "--bound %d: p^bound may exceed 32768 bits" % bound in err
+
+
+def test_verify_power_products_bound_exit_codes(capsys, monkeypatch):
+    """The sweep takes bound * bit_length(p) up to MAX_SWEEP_BITS for
+    every prime it sweeps (2, 3, 5 and 7 without --p); beyond it it
+    exits 2 naming --bound before the first solve."""
+    assert cli.MAX_SWEEP_BITS == 48
+    assert run_quietly(capsys, ["verify", "power-products"]) == 0  # bound 6
+    # the table is still built and checked, the solver answers from it
+    monkeypatch.setattr(
+        cli, "power_product_solve", lambda q, x, y, bound: {(x, y), (y, x)}
+    )
+    for argv in (["--p", "3", "--bound", "24"], ["--bound", "16"],
+                 ["--p", str(2**31 - 1), "--bound", "1"]):
+        assert run_quietly(capsys, ["verify", "power-products"] + argv) == 0, argv
+
+    def no_solve(*args):
+        pytest.fail("an over-bound box reached power_product_solve")
+
+    monkeypatch.setattr(cli, "power_product_solve", no_solve)
+    for argv in (["--p", "3", "--bound", "25"], ["--bound", "17"],
+                 ["--p", str(2**31 - 1), "--bound", "2"],
+                 ["--p", str(2**61 - 1), "--bound", "1"]):
+        assert cli.console_main(["verify", "power-products"] + argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "--bound %s: bound * bit_length(p) exceeds 48" % argv[-1] in err
+
+
+def test_kummer_factorization_bound_exit_codes(capsys, monkeypatch):
+    """Each of --a and --b is answered while the norms of its numerator
+    and denominator stay within MAX_FACTOR_BITS (64 bits over Q and
+    Q(rho), deg * bit_length(p) up to 256 over F_p(t)); beyond it the
+    verb exits 2 naming the flag before anything is factored."""
+    assert MAX_FACTOR_BITS == {"Q": 64, "QRho": 64, "FpT": 256}
+    at_bound = (
+        ("Q", str(2**64 - 1)),
+        ("Q", "1/%d" % (2**64 - 1)),
+        ("QRho", str(2**32 - 1)),  # norm (2^32 - 1)^2
+        ("QRho", "1000000009"),  # a prime = 1 (mod 3), norm of 60 bits
+        ("QRho", "1/%d+1/%d*rho" % (2**32 - 1, 2**32 - 1)),
+        ("FpT:2", "t^128+t+1"),
+        ("FpT:3", "(t+1)/(t^128+2)"),
+        ("FpT:%d" % (2**61 - 1), "t^4+1"),
+    )
+    def partner(field):
+        return "t+1" if field.startswith("FpT") else "2"
+
+    for field, a in at_bound:
+        argv = ["kummer", "--field", field, "--n", "5", "--a", a, "--b", partner(field)]
+        assert run_quietly(capsys, argv) in (0, 1), argv
+
+    def no_factorize(a):
+        pytest.fail("an over-bound element reached factorize")
+
+    monkeypatch.setattr(multlattice, "factorize", no_factorize)
+    semiprime = str((2**61 - 1) * (2**89 - 1))
+    over_bound = (
+        ("Q", semiprime),
+        ("Q", str(2**64)),
+        ("Q", "1/%d" % 2**64),
+        ("QRho", str(2**32)),  # norm 2^64
+        ("QRho", "1/%d*rho" % 2**32),
+        ("QRho", "%d*rho" % 2**40),
+        ("FpT:2", "t^129+t+1"),
+        ("FpT:2", "t^250+t+1"),
+        ("FpT:3", "(1)/(t^129+2)"),
+        ("FpT:%d" % (2**61 - 1), "t^5+1"),
+    )
+    for field, text in over_bound:
+        other = partner(field)
+        for flag, a, b in (("--a", text, other), ("--b", other, text)):
+            argv = ["kummer", "--field", field, "--n", "5", "--a", a, "--b", b]
+            assert cli.console_main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "%s: a norm of its numerator or denominator exceeds" % flag in err
+            bound = MAX_FACTOR_BITS[field.split(":")[0]]
+            assert "the bound of %d bits over %s" % (bound, field) in err

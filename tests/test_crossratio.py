@@ -206,7 +206,7 @@ def test_decide_lambda_char0_frozen():
         decide_lambda_char0(F2T.t(), F2T.t())
 
 
-def test_decide_lambda_char0_never_hits_internal_error():
+def test_decide_lambda_char0_random_pairs_reach_every_verdict():
     rng = random.Random(33)
     rho = QRHO.rho()
     pool_q = [q(Fraction(n, d)) for n in range(-9, 10) for d in (1, 2, 3, 5)]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from punctline import fppoly
+from punctline import fieldarith, fppoly
 from punctline.fieldarith import (
     MAX_DEGREE,
     Q,
@@ -104,6 +104,10 @@ def test_pow():
     rho = QRHO.rho()
     assert rho**6 == QRHO.one()
     assert rho**-1 == QRHO.one() - rho  # the unit identity 1 - rho = rho^-1
+    assert QElem(Fraction(-2, 3)) ** -3 == QElem(Fraction(-27, 8))
+    assert Q.zero() ** 0 == Q.one()
+    with pytest.raises(ZeroDivisionError):
+        Q.zero() ** -1
 
 
 def test_factorize_frozen():
@@ -174,8 +178,31 @@ def test_qrho_denominators():
     ev = factorize(QRhoElem(Fraction(1, 3), 0))
     assert ev.factors == {QRhoElem(2, -1): -2}
     assert ev.recompose() == QRhoElem(Fraction(1, 3), 0)
+    assert ev.torsion == QRHO.rho() ** 5  # 3 = rho (2 - rho)^2
     ev = factorize(QRhoElem(Fraction(5, 14), Fraction(-2, 21)))
     assert ev.recompose() == QRhoElem(Fraction(5, 14), Fraction(-2, 21))
+    # a split prime in the denominator is the product of its two primes
+    ev = factorize(QRhoElem(Fraction(1, 7), 0))
+    assert ev.torsion == QRHO.one()
+    assert sorted(ev.factors.values()) == [-1, -1]
+    assert math.prod(pi.norm() for pi in ev.factors) == 49
+
+
+def test_split_prime_matches_brute_force():
+    """Cornacchia's prime of norm q against a search of the box |a|, |b|
+    <= sqrt(4q/3): the same pair of conjugate primary primes."""
+    for q in range(7, 3000, 3):
+        if not all(q % d for d in range(2, math.isqrt(q) + 1)):
+            continue
+        bound = math.isqrt(4 * q // 3) + 1
+        found = {
+            fieldarith._primary_associate(QRhoElem(a, b))
+            for a in range(-bound, bound + 1)
+            for b in range(-bound, bound + 1)
+            if a * a + a * b + b * b == q
+        }
+        pi = fieldarith._split_prime(q)
+        assert found == {pi, pi.conj()}, q
 
 
 def test_frobenius():

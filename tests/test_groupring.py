@@ -154,17 +154,9 @@ def test_limit_regularity_frozen():
         assert transition(gen, 4).is_zero()
 
 
-def test_limit_regularity_excluded_prime():
-    # away-from-2 class: the 2-part of n is dropped before the guard,
-    # and the odd levels keep x^6 - 1 nonzero at level 9
-    assert limit_regularity_check(6, 9, 3, 3, excluded_prime=2) is True
+def test_limit_regularity_needs_n_dividing_m_prime():
     with pytest.raises(ValueError):
         limit_regularity_check(6, 9, 3, 3)
-    with pytest.raises(ValueError):
-        limit_regularity_check(6, 9, 3, 3, excluded_prime=5)
-    for bad in (0, 1, 4):
-        with pytest.raises(ValueError):
-            limit_regularity_check(6, 9, 3, 3, excluded_prime=bad)
 
 
 def test_gamma_splitting():
