@@ -9,20 +9,24 @@ In characteristic zero the answer is near-rigidity: <lam> and <1-lam>
 agree exactly when lam1 = lam2 or {lam1, lam2} = {rho, 1/rho}; in
 characteristic p it is rigidity up to a power of Frobenius.
 
-Over Q and Q(rho) brackets are field elements.  Over F_p(t) the cross
-ratio, the forced map and the star check take their brackets in F_p[t]
-instead, on the coprime pair (num, den) that each affine point already
-stores ([1 : 0] for infinity), and reduce once at the end.
+The cross ratio, the forced map and the star check take their brackets
+in the field's ring, on each point's ring coordinates [num : den]
+(fieldarith.ring_parts; [1 : 0] for infinity): in Z over Q, in Z[rho]
+over Q(rho) and in F_p[t] over F_p(t).  Each result is reduced to a
+field element once, at the end.
 """
 
 import itertools
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fppoly
 from .exactalg import is_prime
-from .fieldarith import FieldDesc, FpTElem, frobenius, is_constant
+from .fieldarith import (FieldDesc, FpTElem, QElem, QRhoElem, frobenius,
+                         is_constant, ring_parts)
 
 EQUAL = "equal"
 RHO_PAIR = "rho-pair"
@@ -74,34 +78,6 @@ def _check_distinct(pts, message):
         raise ValueError(message)
 
 
-def bracket(x: ProjPoint, y: ProjPoint):
-    """[x, y] = a_x b_y - a_y b_x in the field; zero exactly when x = y.
-    The bracket of Q and Q(rho); F_p(t) points use _poly_bracket.
-
-    Canonical coordinates make every product trivial: each point has
-    b = 1, or b = 0 with a = 1 (infinity).  With infinity on either
-    side the a-coordinates multiply only the other point's b, so the
-    bracket is b_y - b_x; otherwise both b are 1 and it is a_x - a_y.
-    """
-    if x.b.is_zero() or y.b.is_zero():
-        return y.b - x.b
-    return x.a - y.a
-
-
-def _poly_coordinates(x: ProjPoint):
-    """Homogeneous coordinates of an F_p(t) point in F_p[t]: [num : den]
-    for the affine point num/den, [1 : 0] for infinity."""
-    if x.b.is_zero():
-        return fppoly.ONE, fppoly.ZERO
-    return x.a.num, x.a.den
-
-
-def _poly_bracket(x, y, p):
-    """n_x d_y - n_y d_x for polynomial coordinates x = (n_x, d_x) and
-    y = (n_y, d_y): the field bracket times d_x d_y, with no gcd."""
-    return fppoly.sub(fppoly.mul(x[0], y[1], p), fppoly.mul(y[0], x[1], p), p)
-
-
 @dataclass(frozen=True)
 class CuspSet:
     field: FieldDesc
@@ -120,26 +96,6 @@ class CuspSet:
 
     def size(self) -> int:
         return len(self.points)
-
-
-def cross_ratio(x1: ProjPoint, x2: ProjPoint, x3: ProjPoint, x4: ProjPoint):
-    """[x4,x1][x3,x2] / ([x4,x2][x3,x1]), never in {0, 1, infinity} for
-    distinct points.
-
-    Each point occurs once above and once below, so rescaling its
-    coordinates leaves the quotient alone: over F_p(t) the brackets are
-    taken on polynomial coordinates and the quotient is reduced once.
-    """
-    _check_distinct((x1, x2, x3, x4), "cross-ratio needs pairwise-distinct points")
-    if x1.field.kind == "FpT":
-        p = x1.field.p
-        c1, c2, c3, c4 = map(_poly_coordinates, (x1, x2, x3, x4))
-        num = fppoly.mul(_poly_bracket(c4, c1, p), _poly_bracket(c3, c2, p), p)
-        den = fppoly.mul(_poly_bracket(c4, c2, p), _poly_bracket(c3, c1, p), p)
-        return FpTElem(p, num, den)
-    num = bracket(x4, x1) * bracket(x3, x2)
-    den = bracket(x4, x2) * bracket(x3, x1)
-    return num / den
 
 
 @dataclass(frozen=True)
@@ -162,76 +118,37 @@ class MobiusMap:
         for name, value in zip(("m00", "m01", "m10", "m11"), scaled):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def identity(cls, field: FieldDesc):
-        return cls(field.one(), field.zero(), field.zero(), field.one())
-
     def apply(self, x: ProjPoint) -> ProjPoint:
         return ProjPoint(
             self.m00 * x.a + self.m01 * x.b,
             self.m10 * x.a + self.m11 * x.b,
         )
 
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """self after other."""
-        return MobiusMap(
-            self.m00 * other.m00 + self.m01 * other.m10,
-            self.m00 * other.m01 + self.m01 * other.m11,
-            self.m10 * other.m00 + self.m11 * other.m10,
-            self.m10 * other.m01 + self.m11 * other.m11,
-        )
 
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.m11, -self.m01, -self.m10, self.m00)
+_Ring = namedtuple("_Ring", "infinity mul sub neg quotient mobius")
 
 
-def _collineation(p1, p2, p3):
-    # rows kill p1 and p2 respectively, scaled so p3 lands on 1
-    k1 = bracket(p3, p2)
-    k2 = bracket(p3, p1)
-    return (k1 * p1.b, -(k1 * p1.a), k2 * p2.b, -(k2 * p2.a))
+def _z_mobius(entries):
+    # dividing out the content first keeps the normalisation's ints small
+    g = math.gcd(*entries)
+    return MobiusMap(*(QElem(x // g) for x in entries))
 
 
-def _poly_collineation(c1, c2, c3, p):
-    # _collineation on polynomial coordinates: the same matrix up to a
-    # nonzero scalar of F_p(t)
-    k1 = _poly_bracket(c3, c2, p)
-    k2 = _poly_bracket(c3, c1, p)
-    return (
-        fppoly.mul(k1, c1[1], p),
-        fppoly.neg(fppoly.mul(k1, c1[0], p), p),
-        fppoly.mul(k2, c2[1], p),
-        fppoly.neg(fppoly.mul(k2, c2[0], p), p),
-    )
+def _zrho_mul(x, y):
+    # (a1 + b1 rho)(a2 + b2 rho) with rho^2 = rho - 1
+    (a1, b1), (a2, b2) = x, y
+    return a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 + b1 * b2
 
 
-def mobius_from_triples(p1, p2, p3, q1, q2, q3) -> MobiusMap:
-    """The unique map with p_i -> q_i: S_q^-1 S_p, with S_p and S_q the
-    standard maps of both triples onto (0, infinity, 1).
+def _zrho_quotient(num, den):
+    # num conj(den) / N(den), with conj(a + b rho) = (a + b) - b rho
+    a, b = den
+    x, y = _zrho_mul(num, (a + b, -b))
+    norm = a * a + a * b + b * b
+    return QRhoElem(Fraction(x, norm), Fraction(y, norm))
 
-    A Möbius map is a matrix up to scalars, so adj(S_q) S_p, taken from
-    the raw collineation matrices, stands for S_q^-1 S_p and is
-    normalised once.  Over F_p(t) the collineations are taken on
-    polynomial coordinates, so the product lies in F_p[t]; its four
-    entries are divided by their common gcd before the normalisation.
-    """
-    _check_distinct((p1, p2, p3), "degenerate source triple")
-    _check_distinct((q1, q2, q3), "degenerate target triple")
-    field = p1.field
-    if field.kind != "FpT":
-        a, b, c, d = _collineation(p1, p2, p3)
-        e, f, g, h = _collineation(q1, q2, q3)
-        return MobiusMap(h * a - f * c, h * b - f * d, e * c - g * a, e * d - g * b)
-    p = field.p
-    mul, sub = fppoly.mul, fppoly.sub
-    a, b, c, d = _poly_collineation(*map(_poly_coordinates, (p1, p2, p3)), p)
-    e, f, g, h = _poly_collineation(*map(_poly_coordinates, (q1, q2, q3)), p)
-    entries = (
-        sub(mul(h, a, p), mul(f, c, p), p),
-        sub(mul(h, b, p), mul(f, d, p), p),
-        sub(mul(e, c, p), mul(g, a, p), p),
-        sub(mul(e, d, p), mul(g, b, p), p),
-    )
+
+def _poly_mobius(entries, p):
     common = fppoly.ZERO
     for entry in entries:
         common = fppoly.gcd(entry, common, p)
@@ -240,6 +157,89 @@ def mobius_from_triples(p1, p2, p3, q1, q2, q3) -> MobiusMap:
     if common != fppoly.ONE:
         entries = (fppoly.divmod_poly(x, common, p)[0] for x in entries)
     return MobiusMap(*(FpTElem(p, x) for x in entries))
+
+
+_Z = _Ring((1, 0), operator.mul, operator.sub, operator.neg,
+           lambda num, den: QElem(Fraction(num, den)), _z_mobius)
+_ZRHO = _Ring(((1, 0), (0, 0)), _zrho_mul, lambda x, y: (x[0] - y[0], x[1] - y[1]),
+              lambda x: (-x[0], -x[1]), _zrho_quotient,
+              lambda entries: MobiusMap(*(QRhoElem(*x) for x in entries)))
+
+
+def _ring(field: FieldDesc):
+    """The coordinate ring of field (Z, Z[rho] or F_p[t]) as the cross
+    ratio, the forced map and the star check use it: the coordinates of
+    infinity, the ring operations, the field element num/den
+    ("quotient") and the MobiusMap of four entries ("mobius").  Over
+    F_p[t] the operations look fppoly's functions up at each call, so
+    the spans of bench/tracing.py count them."""
+    if field.kind == "Q":
+        return _Z
+    if field.kind == "QRho":
+        return _ZRHO
+    p = field.p
+    return _Ring((fppoly.ONE, fppoly.ZERO), lambda f, g: fppoly.mul(f, g, p),
+                 lambda f, g: fppoly.sub(f, g, p), lambda f: fppoly.neg(f, p),
+                 lambda num, den: FpTElem(p, num, den),
+                 lambda entries: _poly_mobius(entries, p))
+
+
+def _coordinates(ring, x: ProjPoint):
+    """[num : den] in the ring for the point num/den, [1 : 0] at infinity."""
+    return ring.infinity if x.b.is_zero() else ring_parts(x.a)
+
+
+def _bracket(ring, x, y):
+    """n_x d_y - n_y d_x for ring coordinates x = (n_x, d_x) and
+    y = (n_y, d_y); zero exactly when the two points are equal."""
+    return ring.sub(ring.mul(x[0], y[1]), ring.mul(y[0], x[1]))
+
+
+def cross_ratio(x1: ProjPoint, x2: ProjPoint, x3: ProjPoint, x4: ProjPoint):
+    """[x4,x1][x3,x2] / ([x4,x2][x3,x1]), never in {0, 1, infinity} for
+    distinct points.
+
+    Each point occurs once above and once below, so rescaling its
+    coordinates leaves the quotient alone: the brackets are taken on
+    ring coordinates, and the quotient is built once.
+    """
+    _check_distinct((x1, x2, x3, x4), "cross-ratio needs pairwise-distinct points")
+    ring = _ring(x1.field)
+    c1, c2, c3, c4 = (_coordinates(ring, x) for x in (x1, x2, x3, x4))
+    num = ring.mul(_bracket(ring, c4, c1), _bracket(ring, c3, c2))
+    den = ring.mul(_bracket(ring, c4, c2), _bracket(ring, c3, c1))
+    return ring.quotient(num, den)
+
+
+def _standard_map(ring, c1, c2, c3):
+    # a matrix of the map taking the triple to (0, infinity, 1): its rows
+    # kill c1 and c2, scaled so that c3 lands on 1
+    mul, neg = ring.mul, ring.neg
+    k1 = _bracket(ring, c3, c2)
+    k2 = _bracket(ring, c3, c1)
+    return mul(k1, c1[1]), neg(mul(k1, c1[0])), mul(k2, c2[1]), neg(mul(k2, c2[0]))
+
+
+def mobius_from_triples(p1, p2, p3, q1, q2, q3) -> MobiusMap:
+    """The unique map with p_i -> q_i: S_q^-1 S_p, with S_p and S_q the
+    standard maps of both triples onto (0, infinity, 1).
+
+    A Möbius map is a matrix up to scalars, so adj(S_q) S_p, taken on
+    ring coordinates, stands for S_q^-1 S_p: its entries' content in Z
+    or gcd in F_p[t] is divided out, and MobiusMap normalises once.
+    """
+    _check_distinct((p1, p2, p3), "degenerate source triple")
+    _check_distinct((q1, q2, q3), "degenerate target triple")
+    ring = _ring(p1.field)
+    mul, sub = ring.mul, ring.sub
+    a, b, c, d = _standard_map(ring, *(_coordinates(ring, x) for x in (p1, p2, p3)))
+    e, f, g, h = _standard_map(ring, *(_coordinates(ring, x) for x in (q1, q2, q3)))
+    return ring.mobius((
+        sub(mul(h, a), mul(f, c)),
+        sub(mul(h, b), mul(f, d)),
+        sub(mul(e, c), mul(g, a)),
+        sub(mul(e, d), mul(g, b)),
+    ))
 
 
 def twist_point(pt: ProjPoint, n: int) -> ProjPoint:
@@ -428,8 +428,9 @@ def star_check(e: CuspSet) -> bool:
     if p == 2:
         # F_2 minus {0, 1} is empty: no cross-ratio can be constant
         return True
-    pts = [_poly_coordinates(x) for x in e.points]
-    b = [[_poly_bracket(x, y, p) for y in pts[:k]] for k, x in enumerate(pts)]
+    ring = _ring(e.field)
+    pts = [_coordinates(ring, x) for x in e.points]
+    b = [[_bracket(ring, x, y) for y in pts[:k]] for k, x in enumerate(pts)]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             keys = set()

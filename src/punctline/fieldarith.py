@@ -578,15 +578,18 @@ def _factor_eisenstein_int(z):
     return z, factors
 
 
-def _ring_parts(a):
-    """a as num / den with num and den in the field's ring Z, Z[rho] or
-    F_p[t]; over Q(rho) den is the common denominator d of the two
-    coordinates, as an Eisenstein integer."""
+def ring_parts(a):
+    """a as num / den with num and den in the field's ring: ints in Z,
+    coprime polynomials in F_p[t], and int pairs (x, y) for x + y rho in
+    Z[rho], where den = (d, 0) for the least common denominator d of
+    a's two coordinates."""
     if a.field.kind == "Q":
         return a.value.numerator, a.value.denominator
     if a.field.kind == "QRho":
-        d = math.lcm(a.a.denominator, a.b.denominator)
-        return QRhoElem(a.a * d, a.b * d), QRhoElem(d, 0)
+        x, y = a.a, a.b
+        d = math.lcm(x.denominator, y.denominator)
+        num = (x.numerator * (d // x.denominator), y.numerator * (d // y.denominator))
+        return num, (d, 0)
     return a.num, a.den
 
 
@@ -597,7 +600,7 @@ def _factor_ring(f, x):
         sign, primes = factor_integer(x)
         return QElem(sign), {QElem(q): e for q, e in primes.items()}
     if f.kind == "QRho":
-        return _factor_eisenstein_int(x)
+        return _factor_eisenstein_int(QRhoElem(*x))
     lead, irreducibles = fppoly.factor(x, f.p)
     return FpTElem(f.p, (lead,)), {FpTElem(f.p, g): e for g, e in irreducibles.items()}
 
@@ -608,7 +611,7 @@ def factorize(a) -> ExponentVector:
     ring, and the torsion unit is the quotient of their units."""
     if a.is_zero():
         raise ValueError("cannot factorize zero")
-    num, den = _ring_parts(a)
+    num, den = ring_parts(a)
     unit, factors = _factor_ring(a.field, num)
     den_unit, den_factors = _factor_ring(a.field, den)
     for irr, e in den_factors.items():
@@ -631,9 +634,9 @@ def factor_bits(a) -> int:
     """The bits of the larger norm of a's numerator and denominator, as
     MAX_FACTOR_BITS counts them."""
     if a.field.kind == "FpT":
-        return max(fppoly.deg(x) for x in _ring_parts(a)) * a.p.bit_length()
-    norm = abs if a.field.kind == "Q" else (lambda z: int(z.norm()))
-    return max(norm(x).bit_length() for x in _ring_parts(a))
+        return max(fppoly.deg(x) for x in ring_parts(a)) * a.p.bit_length()
+    norm = abs if a.field.kind == "Q" else (lambda z: int(QRhoElem(*z).norm()))
+    return max(norm(x).bit_length() for x in ring_parts(a))
 
 
 # --- small queries --------------------------------------------------------

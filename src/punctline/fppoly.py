@@ -14,11 +14,15 @@ ZERO = ()
 ONE = (1,)
 
 
-def norm(coeffs, p):
-    out = [c % p for c in coeffs]
+def _trim(out):
+    # coefficients already in [0, p), as a tuple without trailing zeros
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def norm(coeffs, p):
+    return _trim([c % p for c in coeffs])
 
 
 def deg(f):
@@ -80,7 +84,7 @@ def divmod_poly(f, g, p):
             q[i] = c
             for j, b in lower:
                 f[i + j] = (f[i + j] - c * b) % p
-    return norm(q, p), norm(f[:n], p)
+    return _trim(q), _trim(f[:n])
 
 
 def mod(f, g, p):

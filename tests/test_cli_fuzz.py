@@ -1,8 +1,8 @@
 """Seeded fuzzing of the command line's F_p(t) inputs: element texts for
 `crossratio` and `kummer`, and generated scenario JSON for `reconstruct`;
 then the exit codes of the bounds on `groupring --moduli`, `groupring
---mod`, `power-products --bound`, `verify power-products --bound` and
-`kummer --a/--b`.
+--mod`, `power-products --bound`, `verify power-products --bound`,
+`verify --count` and `kummer --a/--b`.
 
 Each case applies one mutation (a deleted, duplicated or inserted
 character, a huge exponent, a `/0`, or an unbalanced parenthesis) to a
@@ -257,3 +257,29 @@ def test_kummer_factorization_bound_exit_codes(capsys, monkeypatch):
             assert "%s: a norm of its numerator or denominator exceeds" % flag in err
             bound = MAX_FACTOR_BITS[field.split(":")[0]]
             assert "the bound of %d bits over %s" % (bound, field) in err
+
+
+def test_verify_count_bound_exit_codes(capsys, monkeypatch):
+    """Each counted sweep takes --count up to its MAX_COUNT; beyond it
+    verify exits 2 naming --count and the bound before the sweep runs.
+    The sweep bodies are stubbed: only the exit codes are checked."""
+    assert cli.MAX_COUNT == {
+        "fox-identity": 100000, "roundtrip": 5000, "twist-uniqueness": 10000,
+        "rho-pair": 200000, "negative-soundness": 25000,
+    }
+    counted = {name for name, (_, accepted) in cli._SWEEPS.items() if "count" in accepted}
+    assert counted == set(cli.MAX_COUNT)
+    ran = []
+
+    def stub(name):
+        return lambda rng, count: (ran.append((name, count)), (count, None))[1]
+
+    for name in counted:
+        monkeypatch.setitem(cli._SWEEPS, name, (stub(name), cli._SWEEPS[name][1]))
+    for name, bound in cli.MAX_COUNT.items():
+        assert run_quietly(capsys, ["verify", name, "--count", str(bound)]) == 0, name
+        for count in (bound + 1, 10**6, 10**30):
+            assert cli.console_main(["verify", name, "--count", str(count)]) == 2, name
+            err = capsys.readouterr().err
+            assert "--count %d exceeds the bound %d" % (count, bound) in err
+    assert ran == list(cli.MAX_COUNT.items())

@@ -28,6 +28,7 @@ from punctline.fieldarith import (
     Q,
     QRHO,
     QElem,
+    QRhoElem,
     factorize,
     fpt,
     frobenius,
@@ -53,6 +54,52 @@ def pt(field, value):
 
 def inf(field):
     return ProjPoint.infinity(field)
+
+
+# The Möbius group law and the field-product oracles.  Nothing under src/
+# needs them: cross_ratio and mobius_from_triples work on ring
+# coordinates, and these state the same things with field elements.
+
+def identity(field):
+    return MobiusMap(field.one(), field.zero(), field.zero(), field.one())
+
+
+def compose(f, g):
+    """f after g."""
+    return MobiusMap(
+        f.m00 * g.m00 + f.m01 * g.m10,
+        f.m00 * g.m01 + f.m01 * g.m11,
+        f.m10 * g.m00 + f.m11 * g.m10,
+        f.m10 * g.m01 + f.m11 * g.m11,
+    )
+
+
+def inverse(f):
+    return MobiusMap(f.m11, -f.m01, -f.m10, f.m00)
+
+
+def field_bracket(x, y):
+    """[x, y] = a_x b_y - a_y b_x in the field; zero exactly when x = y."""
+    return x.a * y.b - y.a * x.b
+
+
+def field_collineation(p1, p2, p3):
+    """S_p, the map of the triple onto (0, infinity, 1): its rows kill
+    p1 and p2, scaled so that p3 lands on 1."""
+    k1 = field_bracket(p3, p2)
+    k2 = field_bracket(p3, p1)
+    return MobiusMap(k1 * p1.b, -(k1 * p1.a), k2 * p2.b, -(k2 * p2.a))
+
+
+def field_cross_ratio(x1, x2, x3, x4):
+    """The cross ratio from field brackets."""
+    b = field_bracket
+    return (b(x4, x1) * b(x3, x2)) / (b(x4, x2) * b(x3, x1))
+
+
+def field_forced_map(src, dst):
+    """S_q^-1 S_p, the map with src[i] -> dst[i], from field collineations."""
+    return compose(inverse(field_collineation(*dst)), field_collineation(*src))
 
 
 def test_projpoint_canonical():
@@ -99,7 +146,7 @@ def test_cross_ratio_avoids_degenerate_values():
 def test_mobius_from_triples_frozen():
     zero, one_pt, infty = pt(Q, 0), pt(Q, 1), inf(Q)
     ident = mobius_from_triples(zero, infty, one_pt, zero, infty, one_pt)
-    assert ident == MobiusMap.identity(Q)
+    assert ident == identity(Q)
     f = mobius_from_triples(one_pt, zero, infty, zero, infty, one_pt)
     # x -> (x - 1)/x
     assert f == MobiusMap(q(1), q(-1), q(1), q(0))
@@ -114,7 +161,7 @@ def test_mobius_apply_frozen():
     recip = MobiusMap(q(0), q(1), q(1), q(0))
     assert recip.apply(inf(Q)) == pt(Q, 0)
     assert recip.apply(pt(Q, 0)) == inf(Q)
-    assert MobiusMap.identity(Q).apply(pt(Q, 9)) == pt(Q, 9)
+    assert identity(Q).apply(pt(Q, 9)) == pt(Q, 9)
 
 
 def _point_pool(field):
@@ -142,7 +189,7 @@ def test_mobius_group_law_and_invariance():
     rng = random.Random(9)
     for field in (Q, QRHO, F2T, F5T):
         pool = _point_pool(field)
-        ident = MobiusMap.identity(field)
+        ident = identity(field)
         for _ in range(200):
             p1, p2, p3, p4 = rng.sample(pool, 4)
             q1, q2, q3 = rng.sample(pool, 3)
@@ -150,8 +197,8 @@ def test_mobius_group_law_and_invariance():
             assert f.apply(p1) == q1
             assert f.apply(p2) == q2
             assert f.apply(p3) == q3
-            assert f.compose(f.inverse()) == ident
-            assert f.inverse().compose(f) == ident
+            assert compose(f, inverse(f)) == ident
+            assert compose(inverse(f), f) == ident
             lam = cross_ratio(p1, p2, p3, p4)
             twisted = cross_ratio(*(f.apply(x) for x in (p1, p2, p3, p4)))
             assert twisted == lam
@@ -159,13 +206,20 @@ def test_mobius_group_law_and_invariance():
 
 def test_mobius_from_triples_and_bracket_match_products():
     """Oracles: the forced map is S_q^-1 S_p built from MobiusMaps, and
-    a bracket is the full product a_x b_y - a_y b_x."""
+    a ring bracket is the field product a_x b_y - a_y b_x times the
+    scales of both points' ring coordinates (den, or 1 at infinity)."""
     rng = random.Random(12)
     for field in (Q, QRHO, F2T, F3T, F5T, F7T):
         pool = _point_pool(field)
         infty = pool[0]
+        ring = crossratio._ring(field)
+        one, zero = ring.infinity
         for x, y in itertools.product(pool, repeat=2):
-            assert crossratio.bracket(x, y) == x.a * y.b - y.a * x.b
+            cx, cy = (crossratio._coordinates(ring, z) for z in (x, y))
+            sx, sy = (one if c[1] == zero else c[1] for c in (cx, cy))
+            scale = ring.mul(sx, sy)
+            got = ring.quotient(crossratio._bracket(ring, cx, cy), scale)
+            assert got == field_bracket(x, y)
         for trial in range(120):
             src = rng.sample(pool, 3)
             dst = rng.sample(pool, 3)
@@ -174,9 +228,43 @@ def test_mobius_from_triples_and_bracket_match_products():
                 src[rng.randrange(3)] = infty
             if trial % 4 in (2, 3) and infty not in dst:
                 dst[rng.randrange(3)] = infty
-            sp = MobiusMap(*crossratio._collineation(*src))
-            sq = MobiusMap(*crossratio._collineation(*dst))
-            assert mobius_from_triples(*src, *dst) == sq.inverse().compose(sp)
+            assert mobius_from_triples(*src, *dst) == field_forced_map(src, dst)
+
+
+def _ring_pool(field):
+    """Points whose ring coordinates are not the canonical [a : 1]: over
+    Q(rho), coordinates with different denominators (1/2 + rho/3 has
+    D = 6, which neither denominator is alone), negatives, rho, 1/rho
+    and infinity; over Q, negative and non-integral points."""
+    if field == QRHO:
+        rho = QRHO.rho()
+        vals = [QRhoElem(Fraction(a), Fraction(b)) for a, b in (
+            ("1/2", "1/3"), ("-3/4", "5/6"), ("-2/5", "-7/3"), ("1/6", "-1/4"),
+            ("-2", "0"), ("-5/7", "0"), ("0", "-1/2"), ("0", "0"), ("1", "0"),
+        )] + [rho, rho.inverse(), -rho]
+    else:
+        vals = [q(Fraction(n, d)) for n, d in (
+            (-7, 3), (-1, 2), (5, 4), (-9, 1), (11, 6), (0, 1), (3, 10), (-2, 15),
+        )]
+    return [inf(field)] + [ProjPoint.affine(v) for v in vals]
+
+
+def test_char0_ring_coordinates_match_field_oracles():
+    """Over Q and Q(rho): cross_ratio equals the field-bracket formula on
+    every 4-subset of the pools, and the forced map equals S_q^-1 S_p
+    and sends each source point to its target."""
+    assert fieldarith.ring_parts(QRhoElem(Fraction(1, 2), Fraction(1, 3))) == ((3, 2), (6, 0))
+    assert fieldarith.ring_parts(q(Fraction(-7, 3))) == (-7, 3)
+    rng = random.Random(1616)
+    for field in (Q, QRHO):
+        pool = _ring_pool(field)
+        for quad in itertools.combinations(pool, 4):
+            assert cross_ratio(*quad) == field_cross_ratio(*quad), quad
+        for _ in range(300):
+            src, dst = rng.sample(pool, 3), rng.sample(pool, 3)
+            f = mobius_from_triples(*src, *dst)
+            assert f == field_forced_map(src, dst)
+            assert [f.apply(x) for x in src] == dst
 
 
 def test_frobenius_equivariance():
@@ -573,13 +661,6 @@ def test_star_check_nonconstancy_matches_direct_computation():
     assert with_infinity >= 100
 
 
-def _field_cross_ratio(x1, x2, x3, x4):
-    """The cross ratio from field brackets: the oracle for the polynomial
-    brackets cross_ratio takes over F_p(t)."""
-    b = crossratio.bracket
-    return (b(x4, x1) * b(x3, x2)) / (b(x4, x2) * b(x3, x1))
-
-
 # the least n with p^n >= 100, so twisted points have degree >= 100
 _DEEP_TWIST = {2: 7, 3: 5, 5: 3, 7: 3}
 
@@ -631,13 +712,11 @@ def test_charp_cross_ratio_and_forced_map_match_field_formulas():
         infty = pool[0]
         for trial in range(15):
             quad = rng.sample(pool, 4)
-            assert cross_ratio(*quad) == _field_cross_ratio(*quad)
+            assert cross_ratio(*quad) == field_cross_ratio(*quad)
             src, dst = rng.sample(pool, 3), rng.sample(pool, 3)
             if trial % 3 == 0 and infty not in dst:
                 dst[rng.randrange(3)] = infty
-            sp = MobiusMap(*crossratio._collineation(*src))
-            sq = MobiusMap(*crossratio._collineation(*dst))
-            assert mobius_from_triples(*src, *dst) == sq.inverse().compose(sp)
+            assert mobius_from_triples(*src, *dst) == field_forced_map(src, dst)
             deep += any(_height(x.a) >= 100 for x in quad + src + dst)
     assert deep >= 45
 
@@ -658,7 +737,7 @@ def test_star_check_on_deep_twists_matches_direct_computation():
                 pts.append(next(x for x in twisted if x not in pts))
             rng.shuffle(pts)
             want = not any(
-                is_constant(_field_cross_ratio(*quad))
+                is_constant(field_cross_ratio(*quad))
                 for quad in itertools.combinations(pts, 4)
             )
             assert star_check(CuspSet(field, tuple(pts))) == want
